@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
 from .hilbert import find_regular_linear_system, hilbert_series
@@ -315,10 +315,12 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
     exhaustive marking search unless disabled) proves Koszulness; otherwise
     the Betti table of the artinian reduction (or of the ring itself in
     direct mode) is computed up to the bounds, refuting Koszulness on the
-    first off-diagonal entry and otherwise reporting KoszulUpToBound.
+    first off-diagonal entry and otherwise reporting KoszulUpToBound.  A
+    marking search that hits a resource cap is skipped, and the note says so.
     """
     config = config or KoszulConfig()
     pres = ideal.presentation if isinstance(ideal, ToricIdeal) else ideal
+    skipped = ""
     if config.use_qgb_shortcut:
         gb = reduced_gb(pres, TermOrder.grevlex(pres.width),
                         spair_cap=config.spair_cap)
@@ -329,14 +331,18 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
         exists = config.qgb_exists
         if exists is None and isinstance(ideal, ToricIdeal):
             from .qgb import decide_quadratic_gb
-            decision = decide_quadratic_gb(ideal, marking_cap=config.marking_cap,
-                                           spair_cap=config.spair_cap)
-            exists = decision.exists
-            if exists:
-                return KoszulVerdict("KoszulViaQuadraticGB",
-                                     gb=decision.quadratic_gb,
-                                     characteristic=config.characteristic,
-                                     note="marking search found a quadratic basis")
+            try:
+                decision = decide_quadratic_gb(ideal,
+                                               marking_cap=config.marking_cap,
+                                               spair_cap=config.spair_cap)
+            except ResourceCapError as exc:
+                skipped = f"; marking search skipped ({exc})"
+            else:
+                if decision.exists:
+                    return KoszulVerdict(
+                        "KoszulViaQuadraticGB", gb=decision.quadratic_gb,
+                        characteristic=config.characteristic,
+                        note="marking search found a quadratic basis")
         elif exists:
             return KoszulVerdict("KoszulViaQuadraticGB",
                                  characteristic=config.characteristic,
@@ -360,6 +366,7 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
                         characteristic=config.characteristic,
                         stop_at_first_offdiagonal=config.stop_at_first_offdiagonal)
     witness = table.off_diagonal_witness()
+    note += skipped
     if witness:
         return KoszulVerdict("NonKoszul", witness=witness,
                              bounds=(table.i_max, table.j_max),

@@ -2,8 +2,9 @@
 
 Keys are SHA-256 hashes of canonical JSON of the full inputs (presentation,
 order, operation, bounds), so collisions are impossible by construction and
-entries are immutable once written.  Writes are atomic (temp file plus
-rename); an unwritable directory degrades to no caching with a warning.
+intact entries are immutable once written; a damaged entry reads as a miss
+and is rewritten.  Writes are atomic (temp file plus rename); an unwritable
+directory degrades to no caching with a warning.
 """
 
 from __future__ import annotations
@@ -45,21 +46,23 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
+        """The stored entry, or None when it is missing or damaged."""
         if not self.enabled:
             return None
-        path = self._path(key)
-        if not path.exists():
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        if not isinstance(entry, dict) or "value" not in entry:
+            return None
+        return entry
 
     def put(self, key: str, value: dict) -> None:
-        """Store an entry; existing entries are never overwritten."""
-        if not self.enabled:
+        """Store an entry; an intact existing entry is never overwritten."""
+        if not self.enabled or self.get(key) is not None:
             return
         path = self._path(key)
-        if path.exists():
-            return
         entry = {"key": key, "created_at": time.time(), "value": value}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

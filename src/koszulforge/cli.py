@@ -33,36 +33,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_arg=True):
-        if graph_arg:
-            p.add_argument("graph", help="graph spec: DSL term, JSON, or edge list")
-        p.add_argument("--order", choices=["grevlex", "lex", "revlex-nongraded"],
-                       default="grevlex")
-        p.add_argument("--var-order", default=None,
-                       help="comma-separated labels, least variable first")
-        p.add_argument("--char", type=int, default=0,
-                       help="coefficient characteristic for Betti linear algebra")
-        p.add_argument("--imax", type=int, default=4)
-        p.add_argument("--jmax", type=int, default=5)
-        p.add_argument("--marking-cap", type=int, default=DEFAULT_MARKING_CAP)
-        p.add_argument("--spair-cap", type=int, default=DEFAULT_SPAIR_CAP)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+    def flags(p, *groups):
+        """Give a subcommand --format, --out and the flag groups it honours."""
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--cache-dir", default=default_cache_dir())
-        p.add_argument("--no-cache", action="store_true")
         p.add_argument("--out", default=None, help="write output to a file")
+        if "ideal" in groups:
+            p.add_argument("--spair-cap", type=int, default=DEFAULT_SPAIR_CAP)
+        if "order" in groups:
+            p.add_argument("--order",
+                           choices=["grevlex", "lex", "revlex-nongraded"],
+                           default="grevlex")
+            p.add_argument("--var-order", default=None,
+                           help="comma-separated labels, least variable first")
+        if "cache" in groups:
+            p.add_argument("--cache-dir", default=default_cache_dir())
+            p.add_argument("--no-cache", action="store_true")
+        if "marking" in groups:
+            p.add_argument("--marking-cap", type=int,
+                           default=DEFAULT_MARKING_CAP)
+        if "betti" in groups:
+            p.add_argument("--char", type=int, default=0,
+                           help="coefficient characteristic for Betti "
+                                "linear algebra")
+            p.add_argument("--imax", type=int, default=4)
+            p.add_argument("--jmax", type=int, default=5)
+        if "seed" in groups:
+            p.add_argument("--seed", type=int, default=0)
+        if "jobs" in groups:
+            p.add_argument("--jobs", type=int, default=1)
 
-    for name in ("stable-sets", "toric-ideal", "groebner", "hilbert",
-                 "gorenstein", "qgb", "koszul", "classify", "analyze"):
-        common(sub.add_parser(name))
+    for name, groups in (("stable-sets", ()),
+                         ("classify", ()),
+                         ("toric-ideal", ("ideal",)),
+                         ("groebner", ("ideal", "order", "cache")),
+                         ("hilbert", ("ideal",)),
+                         ("gorenstein", ("ideal", "seed")),
+                         ("qgb", ("ideal", "cache", "marking")),
+                         ("koszul", ("ideal", "marking", "betti")),
+                         ("analyze", ("ideal", "marking", "betti"))):
+        p = sub.add_parser(name)
+        p.add_argument("graph", help="graph spec: DSL term, JSON, or edge list")
+        flags(p, *groups)
     enum = sub.add_parser("enumerate")
     enum.add_argument("n", type=int)
-    common(enum, graph_arg=False)
+    flags(enum)
     suite = sub.add_parser("paper-suite")
     suite.add_argument("--cases", default=None,
                        help="comma-separated case ids (default: all)")
-    common(suite, graph_arg=False)
+    flags(suite, "jobs")
     return parser
 
 
@@ -122,7 +140,8 @@ def _cache(args) -> ResultCache:
 
 def _cached_or(args, payload_key: dict, compute):
     cache = _cache(args)
-    key = cache_key(payload_key)
+    # the version is part of the key, so results do not outlive the code
+    key = cache_key({**payload_key, "version": __version__})
     hit = cache.get_value(key)
     if hit is not None:
         return hit
@@ -218,8 +237,7 @@ def _dispatch(args) -> int:
             {"op": "qgb", "ideal": ideal.presentation.to_json(),
              "marking_cap": args.marking_cap},
             lambda: decide_quadratic_gb(ideal, marking_cap=args.marking_cap,
-                                        spair_cap=args.spair_cap,
-                                        keep_feasible=False).to_json())
+                                        spair_cap=args.spair_cap).to_json())
         _emit(args, decision,
               text=f"exists={decision['exists']} markings={decision['markings']}")
         return 0
@@ -240,7 +258,7 @@ def _dispatch(args) -> int:
     if cmd == "analyze":
         options = AnalyzeOptions(characteristic=args.char, i_max=args.imax,
                                  j_max=args.jmax, marking_cap=args.marking_cap,
-                                 spair_cap=args.spair_cap, seed=args.seed)
+                                 spair_cap=args.spair_cap)
         report = analyze(args.graph, options)
         _emit(args, report, text=render_text(report))
         return 0

@@ -77,7 +77,8 @@ def feasible_strict(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     for x in w:
         lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
     wi = [int(x * lcm) for x in w]
-    assert all(sum(wi[k] * d[k] for k in range(n)) > 0 for d in diffs)
+    if not all(sum(wi[k] * d[k] for k in range(n)) > 0 for d in diffs):
+        raise AssertionError("simplex witness violates a strict inequality")
     return tuple(wi)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, ResourceCapError
 from .polyring import (Monomial, Polynomial, TermOrder, mono_degree, mono_div,
@@ -232,10 +233,6 @@ class _Engine:
         return out
 
 
-_GB_CACHE: dict = {}
-_GB_CACHE_LIMIT = 512
-
-
 def reduced_gb(pres: IdealPresentation, order: TermOrder,
                spair_cap: int = DEFAULT_SPAIR_CAP) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal w.r.t. the order.
@@ -245,19 +242,13 @@ def reduced_gb(pres: IdealPresentation, order: TermOrder,
     ResourceCapError after ``spair_cap`` processed S-pairs; that is a hard
     failure, never a silent truncation.
     """
-    key = (pres, order, spair_cap)
-    hit = _GB_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _reduced_gb_uncached(pres, order, spair_cap)
-    if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
-        _GB_CACHE.pop(next(iter(_GB_CACHE)))
-    _GB_CACHE[key] = result
-    return result
+    # positional, so that calls with and without spair_cap= share an entry
+    return _buchberger(pres, order, spair_cap)
 
 
-def _reduced_gb_uncached(pres: IdealPresentation, order: TermOrder,
-                         spair_cap: int) -> GroebnerBasis:
+@lru_cache(maxsize=512)
+def _buchberger(pres: IdealPresentation, order: TermOrder,
+                spair_cap: int) -> GroebnerBasis:
     if order.width != pres.width:
         raise InputError("order width does not match presentation")
     if not order.is_global:
@@ -321,7 +312,8 @@ def _reduced_gb_uncached(pres: IdealPresentation, order: TermOrder,
     for i in minimal:
         others = [j for j in minimal if j != i]
         r = eng.reduce(eng.polys[i], others)
-        assert r, "minimal basis element reduced to zero"
+        if not r:
+            raise AssertionError("minimal basis element reduced to zero")
         lm = max(r, key=eng.key)
         lc = r[lm]
         final.append(Polynomial(pres.width, {m: c / lc for m, c in r.items()}))

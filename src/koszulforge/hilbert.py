@@ -17,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
@@ -114,9 +115,6 @@ def poly1_str(p: IntPoly, var: str = "t") -> str:
 # Hilbert numerator of a monomial ideal (pivot recursion)
 # ---------------------------------------------------------------------------
 
-_NUMERATOR_MEMO: dict[frozenset, IntPoly] = {}
-
-
 def monomial_numerator(gens) -> IntPoly:
     """Numerator Q(t) with H(K[x_1..x_m]/I) = Q(t) / (1-t)^m.
 
@@ -131,16 +129,8 @@ def _minimalized(gens) -> list[Monomial]:
             if not any(h != g and mono_divides(h, g) for h in gens)]
 
 
+@lru_cache(maxsize=2 ** 16)
 def _numerator(gens: frozenset) -> IntPoly:
-    cached = _NUMERATOR_MEMO.get(gens)
-    if cached is not None:
-        return cached
-    result = _numerator_uncached(gens)
-    _NUMERATOR_MEMO[gens] = result
-    return result
-
-
-def _numerator_uncached(gens: frozenset) -> IntPoly:
     if not gens:
         return (1,)
     lst = sorted(gens)

@@ -3,11 +3,13 @@
 Each case returns a PASS/FAIL result with a deterministic detail payload;
 the CLI serializes them and the acceptance tests assert them.  Expensive
 artifacts (toric ideals, the marking search, Betti tables) are shared
-across cases through a lazy per-process store.
+across cases through the per-process memos of the builders below and of
+the engine.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -43,36 +45,18 @@ class CaseResult:
                 "details": self.details}
 
 
-class _Shared:
-    """Lazy store of artifacts several cases need."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def get(self, key: str, build: Callable):
-        if key not in self._store:
-            self._store[key] = build()
-        return self._store[key]
-
-
-_shared = _Shared()
-
-
-def reset_shared_state() -> None:
-    global _shared
-    _shared = _Shared()
-
-
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def cbar_ideal(k: int):
-    return _shared.get(f"cbar{k}", lambda: closed_form_generators("cbar", k))
+    return closed_form_generators("cbar", k)
 
 
+@functools.cache
 def family_ideal(k: int):
-    return _shared.get(f"family{k}", lambda: closed_form_generators("family", k))
+    return closed_form_generators("family", k)
 
 
 def paper_linear_forms(pres: IdealPresentation, k: int) -> list[Polynomial]:
@@ -119,15 +103,14 @@ def expected_artinian_generators(k: int) -> list[Polynomial]:
     return gens
 
 
+@functools.cache
 def paper_artinian_reduction(k: int) -> IdealPresentation:
-    def build():
-        ideal = cbar_ideal(k)
-        forms = paper_linear_forms(ideal.presentation, k)
-        art, regular, _ = apply_linear_forms(ideal.presentation, forms)
-        if not all(regular):
-            raise AssertionError(f"paper forms not regular at k={k}")
-        return art
-    return _shared.get(f"artinian{k}", build)
+    ideal = cbar_ideal(k)
+    forms = paper_linear_forms(ideal.presentation, k)
+    art, regular, _ = apply_linear_forms(ideal.presentation, forms)
+    if not all(regular):
+        raise AssertionError(f"paper forms not regular at k={k}")
+    return art
 
 
 def paper_initial_ideal_monomials() -> set[Monomial]:
@@ -157,14 +140,9 @@ def _sign_normalized(p: Polynomial) -> Polynomial:
 
 
 def cbar3_qgb_decision():
-    return _shared.get(
-        "qgb_cbar3", lambda: decide_quadratic_gb(cbar_ideal(3),
-                                                 keep_feasible=True))
-
-
-def cbar7_analysis():
-    return _shared.get("analysis_cbar7",
-                       lambda: analyze("complement(cycle(7))"))
+    # the ideal analyze() builds, so that criterion 7 reuses this decision
+    return decide_quadratic_gb(
+        toric_ideal(monomial_map(complement(cycle(7)))))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +328,7 @@ def case_7_koszul() -> CaseResult:
     details["offdiagonal_below_3"] = offdiag_low
     details["entries"] = [[i, j, v] for (i, j), v in sorted(table.entries.items())
                           if v]
-    report = cbar7_analysis()
+    report = analyze("complement(cycle(7))")
     ok &= report["headline"] == "non-Koszul quadratic Gorenstein"
     ok &= report["koszul"]["status"] == "NonKoszul"
     ok &= tuple(report["koszul"]["witness"][:2]) == (3, 4)

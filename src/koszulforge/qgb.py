@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import InputError, ResourceCapError
@@ -79,7 +80,8 @@ def weight_feasible(diffs: list[tuple[int, ...]],
         raise InputError("difference vectors must share one width")
     w = feasible_strict(diffs)
     if w is not None:
-        assert all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs)
+        if not all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs):
+            raise AssertionError("LP witness violates a strict inequality")
         return FeasibilityResult(True, witness=w)
     if not find_infeasible_subset:
         return FeasibilityResult(False)
@@ -127,16 +129,23 @@ class QGBDecision:
 
 def decide_quadratic_gb(ideal: ToricIdeal,
                         marking_cap: int = DEFAULT_MARKING_CAP,
-                        spair_cap: int = DEFAULT_SPAIR_CAP,
-                        keep_feasible: bool = True) -> QGBDecision:
+                        spair_cap: int = DEFAULT_SPAIR_CAP) -> QGBDecision:
     """Decide, exactly and exhaustively, whether any term order gives the
     toric ideal a quadratic Groebner basis.
 
     Soundness and completeness rest on two standard facts: initial ideals
     share the ring's Hilbert function, and the degree-2 part of an initial
     ideal is exactly the set of non-minimal degree-2 fiber class members
-    under the order's marking.
+    under the order's marking.  Decisions are memoized per (ideal, caps),
+    and every feasible marking is kept with its weight witness.
     """
+    # positional, so that calls with and without keywords share an entry
+    return _decide(ideal, marking_cap, spair_cap)
+
+
+@lru_cache(maxsize=64)
+def _decide(ideal: ToricIdeal, marking_cap: int,
+            spair_cap: int) -> QGBDecision:
     pres = ideal.presentation
     width = pres.width
     fc = fiber_classes(ideal.map, 2)
@@ -158,8 +167,7 @@ def decide_quadratic_gb(ideal: ToricIdeal,
         if w is None:
             continue
         feasible_count += 1
-        if keep_feasible:
-            samples.append((marking, w))
+        samples.append((marking, w))
         gens = marking.nonminimal_members()
         if monomial_numerator(gens) != target_numerator:
             continue

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .betti import KoszulConfig, koszul_verdict
-from .cache import ResultCache
 from .errors import InputError, ResourceCapError
 from .graphs import DEFAULT_CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
 from .groebner import DEFAULT_SPAIR_CAP, is_quadratically_generated
@@ -33,9 +32,7 @@ class AnalyzeOptions:
     j_max: int = 5
     marking_cap: int = DEFAULT_MARKING_CAP
     spair_cap: int = DEFAULT_SPAIR_CAP
-    seed: int = 0
     classify_cap: int = DEFAULT_CLASSIFY_CAP
-    cache: ResultCache | None = None
 
 
 def graph_hash(g: Graph) -> str:
@@ -90,7 +87,7 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
     try:
         decision = clocked("qgb", lambda: decide_quadratic_gb(
             ideal, marking_cap=options.marking_cap,
-            spair_cap=options.spair_cap, keep_feasible=False))
+            spair_cap=options.spair_cap))
         qgb_exists = decision.exists
         qgb_summary = decision.to_json()
         qgb_summary.pop("witness", None)

@@ -7,7 +7,7 @@ import pytest
 
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import main
-from koszulforge.reports import analyze, render_text
+from koszulforge.reports import AnalyzeOptions, analyze, render_text
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,39 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("damage", [lambda text: text[:20],
+                                    lambda text: '{"key": "no value"}'])
+def test_damaged_cache_entry_is_a_miss(capsys, tmp_path, damage):
+    code, out, _ = run_cli(capsys, "qgb", "cycle(5)", "--cache-dir", str(tmp_path))
+    assert code == 0
+    [entry] = tmp_path.glob("*.json")
+    entry.write_text(damage(entry.read_text()))
+    code2, out2, _ = run_cli(capsys, "qgb", "cycle(5)",
+                             "--cache-dir", str(tmp_path))
+    assert code2 == 0 and out2 == out
+    assert json.loads(entry.read_text())["value"] == json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stable-sets", "cycle(4)", "--marking-cap", "5"),
+    ("classify", "cycle(4)", "--spair-cap", "5"),
+    ("enumerate", "3", "--jobs", "2"),
+    ("toric-ideal", "cycle(4)", "--order", "lex"),
+    ("hilbert", "cycle(4)", "--cache-dir", "x"),
+    ("gorenstein", "cycle(4)", "--char", "7"),
+    ("qgb", "cycle(4)", "--seed", "1"),
+    ("koszul", "cycle(4)", "--no-cache"),
+    ("analyze", "cycle(4)", "--var-order", "y_{}"),
+    ("groebner", "cycle(4)", "--imax", "2"),
+    ("paper-suite", "--marking-cap", "5"),
+])
+def test_unhonoured_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_resource_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "qgb", "complement(cycle(7))",
                            "--marking-cap", "10", "--no-cache")
@@ -148,6 +181,14 @@ def test_analyze_square(square_report):
     assert r["quadratic_gb"]["exists"] is True
     assert r["koszul"]["status"] == "KoszulViaQuadraticGB"
     assert r["headline"] == "Koszul quadratic Gorenstein"
+
+
+def test_analyze_capped_marking_search_still_reports():
+    r = analyze("complement(cycle(7))", AnalyzeOptions(marking_cap=100))
+    assert r["quadratic_gb"]["exists"] is None
+    assert r["koszul"]["status"] == "NonKoszul"
+    assert r["koszul"]["witness"] == [3, 4, 1]
+    assert "marking search skipped" in r["koszul"]["note"]
 
 
 def test_analyze_renders_text(square_report):

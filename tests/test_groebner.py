@@ -176,6 +176,17 @@ def test_spair_cap_is_hard_failure():
         reduced_gb(ideal.presentation, TermOrder.grevlex(15), spair_cap=2)
 
 
+def test_reduced_gb_memoized_with_or_without_spair_cap(heptagon):
+    from koszulforge import groebner
+    order = TermOrder.lex(heptagon.presentation.width)
+    first = reduced_gb(heptagon.presentation, order)
+    misses = groebner._buchberger.cache_info().misses
+    again = reduced_gb(heptagon.presentation, order,
+                       spair_cap=groebner.DEFAULT_SPAIR_CAP)
+    assert again is first
+    assert groebner._buchberger.cache_info().misses == misses
+
+
 def test_gb_requires_global_order():
     pres = IdealPresentation(("x", "y"), (P(2, ((1, 0), 1), ((0, 1), -1)),))
     with pytest.raises(InputError):

@@ -1,7 +1,15 @@
 """Marking enumeration, exact weight feasibility, quadratic-basis decisions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import koszulforge
+from koszulforge import qgb
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.exactlp import feasible_strict, nonnegative_shift
 from koszulforge.graphs import complete, cycle, parse_graph
@@ -121,6 +129,35 @@ def test_nonnegative_shift_preserves_balanced_products():
         sum(a * b for a, b in zip(shifted, d))
 
 
+# forge the witness where each check reads it: qgb's own LP result, or the
+# lcm that exactlp scales the rational witness by (3w > 0 needs w = 1/3)
+FORGED_WITNESSES = {
+    "qgb": "from koszulforge import qgb\n"
+           "qgb.feasible_strict = lambda diffs: (0,) * len(diffs[0])\n"
+           "check = lambda: qgb.weight_feasible([(1, -1, 0)])",
+    "exactlp": "from koszulforge import exactlp\n"
+               "exactlp._gcd = lambda a, b: a * b\n"
+               "check = lambda: exactlp.feasible_strict([(3, 0)])",
+}
+
+
+@pytest.mark.parametrize("where", sorted(FORGED_WITNESSES))
+def test_forged_witness_raises_under_optimize(where):
+    code = FORGED_WITNESSES[where] + textwrap.dedent("""
+        try:
+            check()
+        except AssertionError:
+            raise SystemExit(0)
+        raise SystemExit("forged witness accepted")
+    """)
+    src = str(Path(koszulforge.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_width_mismatch():
     with pytest.raises(InputError):
         weight_feasible([(1, 0), (1, 0, 0)])
@@ -173,6 +210,17 @@ def test_pentagon_has_quadratic_basis():
 def test_square_has_quadratic_basis():
     decision = decide_quadratic_gb(toric_ideal(monomial_map(cycle(4))))
     assert decision.exists
+
+
+def test_decision_memoized_with_or_without_keywords():
+    ideal = toric_ideal(monomial_map(cycle(4)))
+    first = decide_quadratic_gb(ideal)
+    misses = qgb._decide.cache_info().misses
+    again = decide_quadratic_gb(toric_ideal(monomial_map(cycle(4))),
+                                marking_cap=qgb.DEFAULT_MARKING_CAP,
+                                spair_cap=qgb.DEFAULT_SPAIR_CAP)
+    assert again is first
+    assert qgb._decide.cache_info().misses == misses
 
 
 def test_marking_cap_is_hard_failure():

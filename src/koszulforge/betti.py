@@ -22,42 +22,23 @@ from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
 from .hilbert import find_regular_linear_system, hilbert_series
-from .linalg import Eliminator
-from .polyring import TermOrder, field_of_characteristic
+from .linalg import Eliminator, check_characteristic, to_field
+from .polyring import TermOrder
 from .toric import ToricIdeal
-
-
-@dataclass(frozen=True)
-class GradedAlgebraBasis:
-    """Standard-monomial coordinatization of K[Y]/I up to a degree cap."""
-
-    presentation: IdealPresentation
-    order: TermOrder
-    table: MultiplicationTable
-
-    @property
-    def degree_cap(self) -> int:
-        return self.table.degree_cap
-
-    @property
-    def width(self) -> int:
-        return self.presentation.width
-
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(self.table.dimension(d) for d in range(self.degree_cap + 1))
 
 
 def graded_basis(pres: IdealPresentation, order: TermOrder | None = None,
                  degree_cap: int = 5,
-                 spair_cap: int = DEFAULT_SPAIR_CAP) -> GradedAlgebraBasis:
-    """Bases and variable actions for K[Y]/I up to the degree cap."""
+                 spair_cap: int = DEFAULT_SPAIR_CAP) -> MultiplicationTable:
+    """Standard-monomial bases and variable actions of K[Y]/I up to the
+    degree cap."""
     if not pres.homogeneous:
         raise InputError("graded basis needs a homogeneous ideal")
     if degree_cap < 1:
         raise InputError("degree cap must be >= 1")
     order = order or TermOrder.grevlex(pres.width)
     gb = reduced_gb(pres, order, spair_cap=spair_cap)
-    return GradedAlgebraBasis(pres, order, multiplication_table(gb, degree_cap))
+    return multiplication_table(gb, degree_cap)
 
 
 @dataclass(frozen=True)
@@ -83,60 +64,49 @@ class BettiTable:
                 "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())]}
 
 
-class _ResolutionState:
-    """One homological step: generators of F_i and their images in F_{i-1}.
+def _layouts(table: MultiplicationTable, gen_degrees: list[int],
+             j_max: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """Coordinates of the free module with generators in gen_degrees.
 
-    Vectors over F_i in degree j are indexed by flattened (generator, basis
-    monomial of A in degree j - deg(gen)) coordinates.
+    A vector of degree j has one flat coordinate per (generator g, basis
+    monomial b of A in degree e = j - deg(g)).  Entry j holds the offset of
+    each generator's block and the owner (g, e, b) of each flat coordinate.
     """
-
-    def __init__(self, gen_degrees: list[int]):
-        self.gen_degrees = gen_degrees
-
-    def layout(self, table: MultiplicationTable, j: int) -> list[tuple[int, int]]:
-        """(offset, basis dimension) per generator for degree-j vectors."""
-        out = []
-        offset = 0
-        for d in self.gen_degrees:
-            dim = table.dimension(j - d) if 0 <= j - d <= table.degree_cap else 0
-            out.append((offset, dim))
-            offset += dim
-        return out
-
-    def total_dim(self, table: MultiplicationTable, j: int) -> int:
-        layout = self.layout(table, j)
-        if not layout:
-            return 0
-        off, dim = layout[-1]
-        return off + dim
-
-
-def _multiply_by_variable(table: MultiplicationTable, state: _ResolutionState,
-                          v: int, j: int, vec: dict, F) -> dict:
-    """Module action of variable v on a degree-j vector of the free module."""
-    src = state.layout(table, j)
-    dst = state.layout(table, j + 1)
-    out: dict[int, object] = {}
-    for g, (off, dim) in enumerate(src):
-        if dim == 0:
-            continue
-        d = j - state.gen_degrees[g]
-        action = table.action[d][v]
-        doff = dst[g][0]
-        for flat, c in vec.items():
-            if not (off <= flat < off + dim):
-                continue
-            for row, coeff in action[flat - off].items():
-                k = doff + row
-                s = F.add(out.get(k, F.zero), F.mul(c, F.convert(coeff)))
-                if s == F.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+    out = []
+    for j in range(j_max + 1):
+        offsets: list[int] = []
+        owners: list[tuple[int, int, int]] = []
+        for g, d in enumerate(gen_degrees):
+            offsets.append(len(owners))
+            e = j - d
+            if e >= 0:
+                owners.extend((g, e, b) for b in range(table.dimension(e)))
+        out.append((offsets, owners))
     return out
 
 
-def betti_table(A: GradedAlgebraBasis, i_max: int, j_max: int,
+def _multiply_by_variable(action, layouts, v: int, j: int, vec: dict,
+                          p: int) -> dict:
+    """Module action of variable v on a degree-j vector of the free module."""
+    owners = layouts[j][1]
+    dst = layouts[j + 1][0]
+    out: dict[int, object] = {}
+    for flat, c in vec.items():
+        g, e, b = owners[flat]
+        doff = dst[g]
+        for row, coeff in action[e][v][b].items():
+            k = doff + row
+            s = out.get(k, 0) + c * coeff
+            if p:
+                s %= p
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
                 characteristic: int = 0,
                 stop_at_first_offdiagonal: bool = False) -> BettiTable:
     """Graded Betti numbers of K over A = K[Y]/I, exact for all reported (i, j).
@@ -144,16 +114,16 @@ def betti_table(A: GradedAlgebraBasis, i_max: int, j_max: int,
     With ``stop_at_first_offdiagonal`` the computation aborts as soon as a
     nonzero off-diagonal entry appears; entries beyond that point are absent.
     """
+    p = check_characteristic(characteristic)
     if j_max > A.degree_cap:
         raise InputError("j_max exceeds the graded basis degree cap")
     if i_max < 0 or j_max < 0:
         raise InputError("bounds must be nonnegative")
-    if any(g.degree() <= 1 for g in A.presentation.generators):
+    width = A.gb.order.width
+    # A is graded, so a generator of degree <= 1 shows as a missing variable
+    if A.dimension(1) < width:
         raise InputError("presentation has generators of degree <= 1; "
                          "substitute them away first")
-    F = field_of_characteristic(characteristic)
-    table = A.table
-    width = A.width
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for j in range(1, j_max + 1):
         entries[(0, j)] = 0
@@ -164,57 +134,44 @@ def betti_table(A: GradedAlgebraBasis, i_max: int, j_max: int,
     if i_max == 0:
         return finished(entries)
 
+    # the variable actions in the field's own elements, mapped once
+    action = A.action if not p else [
+        [[{row: to_field(c, p) for row, c in col.items()} for col in cols]
+         for cols in per_var]
+        for per_var in A.action]
     # F_1 = A(-1)^width with e_v -> y_v; images live in F_0 = A
-    state0 = _ResolutionState([0])
-    gens_deg = [1] * width
-    gen_images: list[tuple[int, dict]] = []
-    for v in range(width):
-        col = table.action[0][v][0]
-        vec = {row: F.convert(c) for row, c in col.items()}
-        gen_images.append((1, vec))
+    gen_images = [(1, action[0][v][0]) for v in range(width)]
     for j in range(j_max + 1):
         entries[(1, j)] = width if j == 1 else 0
-    prev_state = state0
+    prev_layouts = _layouts(A, [0], j_max)
 
     for i in range(1, i_max):
         # kernel of F_i -> F_{i-1}, degree by degree
-        state = _ResolutionState([d for d, _ in gen_images])
+        layouts = _layouts(A, [d for d, _ in gen_images], j_max)
         min_gen_degree = min((d for d, _ in gen_images), default=j_max + 1)
         kernel_by_degree: dict[int, list[dict]] = {}
         new_gens: list[tuple[int, dict]] = []
         aborted = False
         for j in range(min_gen_degree, j_max + 1):
-            # columns of the map in degree j: for each generator g and each
-            # basis monomial u of A in degree j - deg(g), the image u * v_g,
-            # computed by one variable step from a lower-degree column
-            cols: list[dict] = []
+            # column c of the map in degree j is the image u * v_g of the
+            # flat coordinate c = (generator g, basis monomial u), computed by
+            # one variable step from a lower-degree column
             col_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
-            src_layout = state.layout(table, j)
-            for g, (d_g, img) in enumerate(gen_images):
-                e = j - d_g
-                if e < 0 or src_layout[g][1] == 0:
-                    continue
-                for bi, mono in enumerate(table.bases[e]):
-                    cols.append(_image_column(table, prev_state, col_cache,
-                                              g, d_g, img, mono, F))
-            kernel = Eliminator(F).kernel_of_columns(cols)
-            # kernel coords index columns; re-express over the standard layout
-            flat_kernel = []
-            col_flat: list[int] = []
-            for g, (off, dim) in enumerate(src_layout):
-                col_flat.extend(range(off, off + dim))
-            for vec in kernel:
-                flat_kernel.append({col_flat[c]: v for c, v in vec.items()})
-            kernel_by_degree[j] = flat_kernel
+            cols = [_image_column(action, prev_layouts, col_cache, g,
+                                  *gen_images[g], A.bases[e][b], p)
+                    for g, e, b in layouts[j][1]]
+            kernel = Eliminator(p).kernel_of_columns(cols)
+            kernel_by_degree[j] = kernel
             # minimal generators: kernel modulo variables * (lower kernel)
-            span = Eliminator(F)
+            span = Eliminator(p)
             for lower in kernel_by_degree.get(j - 1, ()):
                 for v in range(width):
-                    prod = _multiply_by_variable(table, state, v, j - 1, lower, F)
+                    prod = _multiply_by_variable(action, layouts, v, j - 1,
+                                                 lower, p)
                     if prod:
                         span.insert(prod)
             fresh = 0
-            for vec in flat_kernel:
+            for vec in kernel:
                 if span.insert(vec):
                     fresh += 1
                     new_gens.append((j, vec))
@@ -227,7 +184,7 @@ def betti_table(A: GradedAlgebraBasis, i_max: int, j_max: int,
         if aborted:
             pruned = {k: v for k, v in entries.items() if k[0] <= i + 1}
             return finished(pruned)
-        prev_state = state
+        prev_layouts = layouts
         gen_images = new_gens
         if not gen_images:
             for ii in range(i + 2, i_max + 1):
@@ -237,8 +194,8 @@ def betti_table(A: GradedAlgebraBasis, i_max: int, j_max: int,
     return finished(entries)
 
 
-def _image_column(table: MultiplicationTable, prev_state: _ResolutionState,
-                  cache: dict, g: int, d_g: int, img: dict, mono, F) -> dict:
+def _image_column(action, layouts, cache: dict, g: int, d_g: int, img: dict,
+                  mono, p: int) -> dict:
     """img * mono in F_{i-1}, built one variable at a time with caching."""
     if not any(mono):
         return img
@@ -250,9 +207,8 @@ def _image_column(table: MultiplicationTable, prev_state: _ResolutionState,
     smaller = list(mono)
     smaller[v] -= 1
     smaller = tuple(smaller)
-    base = _image_column(table, prev_state, cache, g, d_g, img, smaller, F)
-    deg = d_g + sum(smaller)
-    out = _multiply_by_variable(table, prev_state, v, deg, base, F)
+    base = _image_column(action, layouts, cache, g, d_g, img, smaller, p)
+    out = _multiply_by_variable(action, layouts, v, d_g + sum(smaller), base, p)
     cache[key] = out
     return out
 
@@ -289,8 +245,6 @@ class KoszulConfig:
     j_max: int = DEFAULT_BETTI_BOUNDS[1]
     characteristic: int = 0
     use_qgb_shortcut: bool = True
-    direct: bool = False  # resolve over R itself instead of a reduction
-    stop_at_first_offdiagonal: bool = True
     spair_cap: int = DEFAULT_SPAIR_CAP
     marking_cap: int = 2 ** 20
     qgb_exists: bool | None = None  # precomputed decision, if available
@@ -313,12 +267,14 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
 
     Pipeline: a quadratic Groebner basis (canonical order first, then the
     exhaustive marking search unless disabled) proves Koszulness; otherwise
-    the Betti table of the artinian reduction (or of the ring itself in
-    direct mode) is computed up to the bounds, refuting Koszulness on the
-    first off-diagonal entry and otherwise reporting KoszulUpToBound.  A
-    marking search that hits a resource cap is skipped, and the note says so.
+    the Betti table of the artinian reduction (or of the ring itself when no
+    linear system of parameters is found) is computed up to the bounds,
+    refuting Koszulness on the first off-diagonal entry and otherwise
+    reporting KoszulUpToBound.  A marking search that hits a resource cap is
+    skipped, and the note says so.  The characteristic is checked first.
     """
     config = config or KoszulConfig()
+    check_characteristic(config.characteristic)
     pres = ideal.presentation if isinstance(ideal, ToricIdeal) else ideal
     skipped = ""
     if config.use_qgb_shortcut:
@@ -348,23 +304,21 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
                                  characteristic=config.characteristic,
                                  note="caller-supplied quadratic-basis decision")
 
-    target = pres
-    note = "betti table over the ring itself"
-    if not config.direct:
-        reduction = config.reduction
-        if reduction is None:
-            reduction = artinian_reduction(pres, spair_cap=config.spair_cap)
-        if reduction is not None and reduction.generators:
-            target = reduction
-            note = "betti table over the artinian reduction"
-        else:
-            note = ("betti table over the ring itself "
-                    "(no linear system of parameters found)")
+    reduction = config.reduction
+    if reduction is None:
+        reduction = artinian_reduction(pres, spair_cap=config.spair_cap)
+    if reduction is not None and reduction.generators:
+        target = reduction
+        note = "betti table over the artinian reduction"
+    else:
+        target = pres
+        note = ("betti table over the ring itself "
+                "(no linear system of parameters found)")
     A = graded_basis(target, degree_cap=max(config.j_max, 1),
                      spair_cap=config.spair_cap)
     table = betti_table(A, config.i_max, config.j_max,
                         characteristic=config.characteristic,
-                        stop_at_first_offdiagonal=config.stop_at_first_offdiagonal)
+                        stop_at_first_offdiagonal=True)
     witness = table.off_diagonal_witness()
     note += skipped
     if witness:

@@ -26,10 +26,9 @@ def cache_key(payload) -> str:
 class ResultCache:
     """A directory of immutable JSON entries addressed by content hash."""
 
-    def __init__(self, directory: str | os.PathLike | None, enabled: bool = True):
+    def __init__(self, directory: str | os.PathLike | None):
         self.directory = Path(directory) if directory else None
-        self.enabled = enabled and self.directory is not None
-        self.degraded = False
+        self.enabled = self.directory is not None
         if self.enabled:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -40,7 +39,6 @@ class ResultCache:
                 print(f"warning: cache directory unusable ({exc}); caching disabled",
                       file=sys.stderr)
                 self.enabled = False
-                self.degraded = True
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"

@@ -399,8 +399,8 @@ class MultiplicationTable:
     def dimension(self, d: int) -> int:
         return len(self.bases[d])
 
-    def reduce_poly(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.gb)
+    def dimensions(self) -> tuple[int, ...]:
+        return tuple(len(basis) for basis in self.bases)
 
 
 def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTable:

@@ -24,7 +24,7 @@ from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MonomialIdeal, initial_ideal, multiplication_table,
                        reduced_gb, standard_monomials)
 from .linalg import Eliminator
-from .polyring import (Monomial, Polynomial, QQ, TermOrder, mono_degree,
+from .polyring import (Monomial, Polynomial, TermOrder, mono_degree,
                        mono_divides, unit_mono)
 from .toric import ToricIdeal
 
@@ -251,10 +251,6 @@ def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
     return hilbert_data_of_monomial_ideal(initial_ideal(gb))
 
 
-def h_vector(hd: HilbertData) -> tuple[int, ...]:
-    return hd.h_vector
-
-
 # ---------------------------------------------------------------------------
 # quotient by a linear form
 # ---------------------------------------------------------------------------
@@ -373,7 +369,7 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
         if deg == top:
             kernel_vectors = [{i: Fraction(1)} for i in range(dim_here)]
         else:
-            elim = Eliminator(QQ)
+            elim = Eliminator()
             kernel_vectors = []
             target_block = table.dimension(deg + 1)
             for i in range(dim_here):

@@ -1,5 +1,7 @@
 """Sparse exact Gaussian elimination over Q or a prime field.
 
+The field is named by its characteristic: 0 is Q, whose elements are ints
+and Fractions, and a prime p is GF(p), whose elements are ints in [0, p).
 Vectors are dicts {index: nonzero coefficient}.  The Eliminator keeps a set
 of normalized pivot rows and supports incremental rank queries and kernel
 extraction via augmented columns.
@@ -7,14 +9,34 @@ extraction via augmented columns.
 
 from __future__ import annotations
 
-from .polyring import QQ
+from fractions import Fraction
+from math import isqrt
+
+from .errors import InputError
+
+
+def check_characteristic(p: int) -> int:
+    """p, if it is 0 or a prime; InputError otherwise."""
+    if p != 0 and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        raise InputError(f"characteristic must be 0 or a prime, got {p}")
+    return p
+
+
+def to_field(x: Fraction | int, p: int) -> Fraction | int:
+    """The rational x as an element of the field of characteristic p."""
+    if not p:
+        return x
+    den = x.denominator
+    if den % p == 0:
+        raise InputError(f"denominator {den} not invertible mod {p}")
+    return x.numerator * pow(den, -1, p) % p
 
 
 class Eliminator:
     """Incremental row-reduction: feed vectors, track pivots and rank."""
 
-    def __init__(self, field=QQ):
-        self.field = field
+    def __init__(self, characteristic: int = 0):
+        self.characteristic = check_characteristic(characteristic)
         self.pivots: dict[int, dict] = {}  # pivot index -> normalized row
 
     @property
@@ -28,34 +50,42 @@ class Eliminator:
         row only touches positions at or above its own pivot, eliminated
         positions never reappear and the loop terminates.
         """
-        F = self.field
-        zero = F.zero
+        p = self.characteristic
         out = dict(vec)
         piv = self.pivots
         while True:
             common = piv.keys() & out.keys()
             if not common:
                 return out
-            p = min(common)
-            c = out.pop(p)
-            for k, v in piv[p].items():
-                if k == p:
+            head = min(common)
+            c = out.pop(head)
+            for k, v in piv[head].items():
+                if k == head:
                     continue
-                s = F.sub(out.get(k, zero), F.mul(c, v))
-                if s == zero:
-                    out.pop(k, None)
-                else:
+                s = out.get(k, 0) - c * v
+                if p:
+                    s %= p
+                if s:
                     out[k] = s
+                else:
+                    out.pop(k, None)
+
+    def _add_pivot(self, head: int, residual: dict) -> None:
+        """Store residual scaled so that its entry at head is 1."""
+        p = self.characteristic
+        if p:
+            inv = pow(residual[head], -1, p)
+            self.pivots[head] = {k: inv * v % p for k, v in residual.items()}
+        else:
+            inv = Fraction(1) / residual[head]
+            self.pivots[head] = {k: inv * v for k, v in residual.items()}
 
     def insert(self, vec: dict) -> bool:
         """Add a vector to the span; True if it increased the rank."""
         residual = self.reduce(vec)
         if not residual:
             return False
-        F = self.field
-        p = min(residual)
-        inv = F.inv(residual[p])
-        self.pivots[p] = {k: F.mul(inv, v) for k, v in residual.items()}
+        self._add_pivot(min(residual), residual)
         return True
 
     def kernel_of_columns(self, columns: list[dict]) -> list[dict]:
@@ -66,25 +96,22 @@ class Eliminator:
         """
         if self.pivots:
             raise ValueError("kernel_of_columns needs a fresh Eliminator")
-        F = self.field
         offset = 1 + max((max(c) for c in columns if c), default=0)
         kernel = []
         for j, col in enumerate(columns):
             aug = dict(col)
-            aug[offset + j] = F.one
+            aug[offset + j] = 1
             residual = self.reduce(aug)
             head = [k for k in residual if k < offset]
             if head:
-                p = min(head)
-                inv = F.inv(residual[p])
-                self.pivots[p] = {k: F.mul(inv, v) for k, v in residual.items()}
+                self._add_pivot(min(head), residual)
             else:
                 kernel.append({k - offset: v for k, v in residual.items()})
         return kernel
 
 
-def columns_rank(columns: list[dict], field=QQ) -> int:
-    elim = Eliminator(field)
+def columns_rank(columns: list[dict], characteristic: int = 0) -> int:
+    elim = Eliminator(characteristic)
     for col in columns:
         elim.insert(col)
     return elim.rank

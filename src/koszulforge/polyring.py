@@ -2,8 +2,6 @@
 
 Monomials are dense exponent tuples (ring widths here stay below ~40),
 polynomials are mappings from monomials to nonzero rational coefficients.
-A prime field is available as a fast cross-check for linear algebra; final
-certificates always use exact rationals.
 """
 
 from __future__ import annotations
@@ -60,94 +58,6 @@ def unit_mono(width: int, index: int, exp: int = 1) -> Monomial:
     m = [0] * width
     m[index] = exp
     return tuple(m)
-
-
-# ---------------------------------------------------------------------------
-# coefficient fields
-# ---------------------------------------------------------------------------
-
-class RationalField:
-    """The rationals; elements are Fraction."""
-
-    characteristic = 0
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def convert(x: Fraction | int) -> Fraction:
-        return Fraction(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    def __repr__(self):
-        return "QQ"
-
-
-class PrimeField:
-    """Z/p for prime p; elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise InputError(f"characteristic must be prime, got {p}")
-        self.characteristic = p
-        self.zero = 0
-        self.one = 1
-
-    def convert(self, x: Fraction | int):
-        p = self.characteristic
-        if isinstance(x, int):
-            return x % p
-        num, den = x.numerator, x.denominator
-        if den % p == 0:
-            raise InputError(f"denominator {den} not invertible mod {p}")
-        return num * pow(den, -1, p) % p
-
-    def add(self, a, b):
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        return (a * b) % self.characteristic
-
-    def neg(self, a):
-        return (-a) % self.characteristic
-
-    def inv(self, a):
-        return pow(a, -1, self.characteristic)
-
-    def __repr__(self):
-        return f"GF({self.characteristic})"
-
-
-QQ = RationalField()
-
-#: default prime for fast cross-checks, never for final certificates
-DEFAULT_CHECK_PRIME = 32003
-
-
-def field_of_characteristic(char: int):
-    return QQ if char == 0 else PrimeField(char)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import InputError, ResourceCapError
 from .graphs import DEFAULT_CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
 from .groebner import DEFAULT_SPAIR_CAP, is_quadratically_generated
 from .hilbert import gorenstein_certificate, hilbert_series
+from .linalg import check_characteristic
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
 from .toric import monomial_map, toric_ideal
 
@@ -43,6 +44,7 @@ def graph_hash(g: Graph) -> str:
 def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
     """Run the whole pipeline on one graph spec and build the report."""
     options = options or AnalyzeOptions()
+    check_characteristic(options.characteristic)
     timings: dict[str, float] = {}
 
     def clocked(name, fn):

@@ -7,6 +7,7 @@ import pytest
 
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import main
+from koszulforge.errors import InputError
 from koszulforge.reports import AnalyzeOptions, analyze, render_text
 
 
@@ -127,6 +128,19 @@ def test_unhonoured_flag_is_rejected(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["koszul", "analyze"])
+@pytest.mark.parametrize("char", ["6", "-3"])
+def test_bad_characteristic_is_rejected(capsys, command, char):
+    code, out, err = run_cli(capsys, command, "cycle(4)", "--char", char)
+    assert code == 1
+    assert "characteristic" in err and not out
+
+
+def test_analyze_rejects_composite_characteristic():
+    with pytest.raises(InputError):
+        analyze("cycle(4)", AnalyzeOptions(characteristic=6))
 
 
 def test_resource_cap_exit_code(capsys):

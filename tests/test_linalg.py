@@ -1,10 +1,14 @@
-"""Sparse exact elimination: ranks and kernels against dense oracles."""
+"""Sparse exact elimination: ranks and kernels against dense oracles, and
+the characteristic that names the field."""
 
 import random
 from fractions import Fraction
 
-from koszulforge.linalg import Eliminator, columns_rank
-from koszulforge.polyring import PrimeField, QQ
+import pytest
+
+from koszulforge.errors import InputError
+from koszulforge.linalg import (Eliminator, check_characteristic, columns_rank,
+                                to_field)
 
 
 def dense_rank(rows, mod=None):
@@ -47,7 +51,7 @@ def test_kernel_vectors_annihilate_columns():
         m, n = rng.randint(1, 5), rng.randint(1, 7)
         cols = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
         sparse_cols = [sparse(c) for c in cols]
-        kernel = Eliminator(QQ).kernel_of_columns(sparse_cols)
+        kernel = Eliminator().kernel_of_columns(sparse_cols)
         # dimension check: n - rank
         assert len(kernel) == n - dense_rank([list(c) for c in zip(*cols)]) \
             if cols and any(any(c) for c in cols) else True
@@ -61,7 +65,7 @@ def test_kernel_vectors_annihilate_columns():
 
 
 def test_insert_reports_rank_growth():
-    elim = Eliminator(QQ)
+    elim = Eliminator()
     assert elim.insert(sparse([1, 0, 1]))
     assert elim.insert(sparse([0, 1, 0]))
     assert not elim.insert(sparse([1, 1, 1]))
@@ -70,7 +74,7 @@ def test_insert_reports_rank_growth():
 
 def test_reduce_handles_pivot_chains():
     # rows whose eliminations cascade into later pivot positions
-    elim = Eliminator(QQ)
+    elim = Eliminator()
     elim.insert(sparse([1, 1, 0, 0]))
     elim.insert(sparse([0, 1, 1, 0]))
     elim.insert(sparse([0, 0, 1, 1]))
@@ -81,11 +85,49 @@ def test_reduce_handles_pivot_chains():
 
 def test_prime_field_elimination_matches_rationals():
     rng = random.Random(3)
-    F = PrimeField(32003)
+    p = 32003
     for _ in range(20):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        rq = columns_rank([sparse(r) for r in rows], QQ)
-        rp = columns_rank([{i: F.convert(x) for i, x in enumerate(r) if x}
-                           for r in rows], F)
+        rq = columns_rank([sparse(r) for r in rows])
+        rp = columns_rank([{i: to_field(Fraction(x), p)
+                            for i, x in enumerate(r) if x} for r in rows], p)
         assert rq == rp  # entries are tiny, no accidental p-divisibility
+
+
+def test_rational_elimination_never_yields_floats():
+    # integer input over Q: int / int would be a float, so every value must
+    # stay an int or a Fraction
+    rng = random.Random(11)
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        cols = [{i: x for i in range(m) if (x := rng.randint(-3, 3))}
+                for _ in range(n)]
+        elim = Eliminator()
+        kernel = elim.kernel_of_columns(cols)
+        values = [v for row in elim.pivots.values() for v in row.values()]
+        values += [v for vec in kernel for v in vec.values()]
+        assert all(type(v) in (int, Fraction) for v in values)
+
+
+@pytest.mark.parametrize("p", [6, -3, 1, 32001])
+def test_bad_characteristic_is_rejected(p):
+    with pytest.raises(InputError):
+        check_characteristic(p)
+    with pytest.raises(InputError):
+        Eliminator(p)
+
+
+def test_good_characteristic_is_kept():
+    assert [check_characteristic(p) for p in (0, 2, 7, 32003)] == [0, 2, 7, 32003]
+
+
+def test_to_field_maps_rationals_into_gf_p():
+    assert to_field(Fraction(1, 2), 7) == 4
+    assert to_field(-3, 7) == 4
+    assert to_field(Fraction(2, 3), 0) == Fraction(2, 3)
+
+
+def test_to_field_rejects_denominator_divisible_by_p():
+    with pytest.raises(InputError):
+        to_field(Fraction(1, 14), 7)

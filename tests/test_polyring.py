@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, term orders, fields, parsing and serialization."""
+"""Polynomial arithmetic, term orders, parsing and serialization."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulforge.errors import InputError
-from koszulforge.polyring import (DEFAULT_CHECK_PRIME, Polynomial, PrimeField,
-                                  QQ, TermOrder, mono_mul, mono_one,
+from koszulforge.polyring import (Polynomial, TermOrder, mono_mul, mono_one,
                                   parse_polynomial, unit_mono)
 
 WIDTH = 5
@@ -143,29 +142,6 @@ def test_width_mismatch_raises():
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
     with pytest.raises(InputError):
         Polynomial.variable(2, 0) * Polynomial.variable(3, 0)
-
-
-# ---------------------------------------------------------------------------
-# fields
-# ---------------------------------------------------------------------------
-
-def test_prime_field_ops():
-    F = PrimeField(7)
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
-    assert F.inv(3) == 5
-    assert F.convert(Fraction(1, 2)) == 4
-    with pytest.raises(InputError):
-        PrimeField(6)
-
-
-def test_prime_field_default_is_prime():
-    PrimeField(DEFAULT_CHECK_PRIME)  # raises if composite
-
-
-def test_rational_field():
-    assert QQ.characteristic == 0
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
 
 
 # ---------------------------------------------------------------------------

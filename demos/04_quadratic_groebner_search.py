@@ -4,12 +4,13 @@
 A term order picks a minimal monomial in every degree-2 fiber class; such a
 marking is realizable iff an exact strict weight system is feasible, and it
 yields a quadratic basis iff the non-minimal members generate a monomial
-ideal with the ring's own Hilbert series.  Enumerating all markings settles
-existence for every order at once.
+ideal with the ring's own Hilbert series.  Accounting for all markings
+settles existence for every order at once; the search walks them class by
+class and cuts every subtree whose prefix is already unrealizable.
 
 The pentagon ring admits a quadratic basis; the heptagon-complement ring
 does not (16384 markings, none survives).  The full heptagon run takes a
-few minutes; this demo shows the pentagon and the forced inequality chain.
+few seconds; this demo shows the pentagon and the forced inequality chain.
 """
 
 from koszulforge.graphs import cycle, parse_graph

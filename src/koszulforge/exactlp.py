@@ -1,10 +1,15 @@
-"""Exact rational feasibility of strict homogeneous inequality systems.
+"""Exact feasibility of strict homogeneous inequality systems.
 
 Given integer vectors d_1..d_r, decide whether some rational w satisfies
 w . d_i > 0 for all i.  By homogeneity this is equivalent to the phase-1
-linear program for {w . d_i >= 1}, solved with a dense simplex tableau over
-exact rationals (Bland's rule, so no cycling).  A returned witness is always
-re-verified against every constraint in exact arithmetic by the caller.
+linear program for {w . d_i >= 1}, solved with a dense simplex tableau
+(Bland's rule, so no cycling).  The tableau is kept fraction-free: integer
+rows over one common positive denominator, the last pivot, updated by
+Bareiss' integer-preserving elimination, whose divisions are exact by
+Sylvester's identity.  Both answers are re-verified by integer dot products
+before they are returned: a witness against every constraint, and an
+infeasibility against Gordan's alternative, read from the objective row as
+multipliers lambda >= 0, lambda != 0 with sum_i lambda_i d_i = 0.
 """
 
 from __future__ import annotations
@@ -31,15 +36,16 @@ def feasible_strict(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
 
     # columns: w+ (n), w- (n), slack (r); artificial basis is implicit.
     # rows: d.w+ - d.w- - s_i = 1  with rhs 1 >= 0.
+    # The tableau is rows / den, with den > 0 the last pivot.
     width = 2 * n + r
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for i, d in enumerate(diffs):
-        row = [Fraction(x) for x in d] + [Fraction(-x) for x in d] \
-            + [Fraction(0)] * r
-        row[2 * n + i] = Fraction(-1)
-        row.append(Fraction(1))  # rhs
+        row = list(d) + [-x for x in d] + [0] * r
+        row[2 * n + i] = -1
+        row.append(1)  # rhs
         rows.append(row)
     basis = [width + i for i in range(r)]  # artificial indices (virtual)
+    den = 1
 
     # phase-1 objective: minimize the artificial sum; its row is the sum of
     # all constraint rows (cost of the artificials pivots away with them)
@@ -49,30 +55,39 @@ def feasible_strict(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
         enter = next((j for j in range(width) if obj[j] > 0), None)
         if enter is None:
             break
-        ratio_best = None
         leave = None
         for i in range(r):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][width] / a
-                if (ratio_best is None or ratio < ratio_best
-                        or (ratio == ratio_best and basis[i] < basis[leave])):
-                    ratio_best = ratio
+                # ratio rhs_i / a against the best so far, cross-multiplied
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = rows[i][width] * rows[leave][enter]
+                rhs = rows[leave][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # unbounded improvement cannot happen in phase 1
             raise ArithmeticError("phase-1 simplex lost boundedness")
-        _pivot(rows, obj, basis, leave, enter, width)
+        den = _pivot(rows, obj, basis, den, leave, enter)
 
     if obj[width] != 0:
-        return None  # optimum > 0: some artificial stuck, system infeasible
+        # optimum > 0: some artificial stuck, system infeasible.  The slack
+        # reduced costs are the dual solution, scaled by den.
+        lam = [-x for x in obj[2 * n:width]]
+        combo = [sum(l * d[k] for l, d in zip(lam, diffs)) for k in range(n)]
+        if min(lam) < 0 or not any(lam) or any(combo):
+            raise AssertionError("simplex multipliers do not certify "
+                                 "infeasibility")
+        return None
 
     w = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            w[b] += rows[i][width]
+            w[b] += Fraction(rows[i][width], den)
         elif b < 2 * n:
-            w[b - n] -= rows[i][width]
+            w[b - n] -= Fraction(rows[i][width], den)
     lcm = 1
     for x in w:
         lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
@@ -82,23 +97,23 @@ def feasible_strict(diffs: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     return tuple(wi)
 
 
-def _pivot(rows, obj, basis, leave, enter, width):
+def _pivot(rows, obj, basis, den, leave, enter) -> int:
+    """Bareiss pivot on rows[leave][enter]; returns the new denominator."""
     prow = rows[leave]
-    inv = 1 / prow[enter]
-    for j in range(width + 1):
-        prow[j] *= inv
-    for row in rows:
+    p = prow[enter]
+    cols = range(len(prow))
+    for row in rows + [obj]:
         if row is prow:
             continue
         c = row[enter]
         if c:
-            for j in range(width + 1):
-                row[j] -= c * prow[j]
-    c = obj[enter]
-    if c:
-        for j in range(width + 1):
-            obj[j] -= c * prow[j]
+            for j in cols:
+                row[j] = (p * row[j] - c * prow[j]) // den
+        else:
+            for j in cols:
+                row[j] = p * row[j] // den
     basis[leave] = enter
+    return p
 
 
 def _gcd(a: int, b: int) -> int:

@@ -15,11 +15,41 @@ from math import isqrt
 from .errors import InputError
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def check_characteristic(p: int) -> int:
     """p, if it is 0 or a prime; InputError otherwise."""
-    if p != 0 and (p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+    if p != 0 and not _is_prime(p):
         raise InputError(f"characteristic must be 0 or a prime, got {p}")
     return p
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    if p >= _MR_BOUND:
+        return all(p % q for q in range(2, isqrt(p) + 1))
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def to_field(x: Fraction | int, p: int) -> Fraction | int:

@@ -6,9 +6,18 @@ realizable by an order iff the strict weight system {w . (u - s) > 0} over
 all non-minimal members u and minima s is feasible, and the ideal has a
 quadratic basis under a realizing order iff the monomial ideal generated by
 the non-minimal members has the same Hilbert series as the toric ring.
-Enumerating every marking therefore decides existence exactly: any match
+Accounting for every marking therefore decides existence exactly: any match
 yields a realizing weight order with its reduced quadratic basis, and no
 match over all feasible markings is a nonexistence certificate.
+
+The markings are walked depth-first in ``itertools.product`` order, one
+class per level.  A prefix of choices carries the weight system of its
+classes.  A child whose new inequalities the parent's witness already
+satisfies inherits that witness; otherwise its prefix system is solved
+exactly, and an infeasible prefix cuts its whole subtree, since every
+marking below it contains the same contradiction.  Leaves and cut subtrees
+together account for every marking, in the order a plain enumeration would
+visit them.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from math import prod
 
 from .errors import InputError, ResourceCapError
 from .exactlp import feasible_strict, nonnegative_shift
@@ -43,10 +52,7 @@ class Marking:
         """u - s for every non-minimal member u against its class minimum s."""
         out = []
         for choice, cls in zip(self.minima, self.classes.classes):
-            s = cls[choice]
-            for k, u in enumerate(cls):
-                if k != choice:
-                    out.append(tuple(a - b for a, b in zip(u, s)))
+            out.extend(_class_differences(cls, choice))
         return out
 
     def nonminimal_members(self) -> list[Monomial]:
@@ -54,6 +60,13 @@ class Marking:
         for choice, cls in zip(self.minima, self.classes.classes):
             out.extend(u for k, u in enumerate(cls) if k != choice)
         return out
+
+
+def _class_differences(cls: tuple[Monomial, ...],
+                       choice: int) -> list[tuple[int, ...]]:
+    s = cls[choice]
+    return [tuple(a - b for a, b in zip(u, s))
+            for k, u in enumerate(cls) if k != choice]
 
 
 @dataclass(frozen=True)
@@ -98,6 +111,14 @@ def weight_feasible(diffs: list[tuple[int, ...]],
 
 @dataclass(frozen=True)
 class QGBDecision:
+    """The decision with its counts.
+
+    ``tested_markings`` counts the markings accounted for before the search
+    stopped: the leaves it reached plus the sizes of the subtrees it cut by
+    an infeasible prefix.  It equals ``total_markings`` when no marking
+    matches.
+    """
+
     exists: bool
     total_markings: int
     feasible_markings: int
@@ -137,7 +158,8 @@ def decide_quadratic_gb(ideal: ToricIdeal,
     share the ring's Hilbert function, and the degree-2 part of an initial
     ideal is exactly the set of non-minimal degree-2 fiber class members
     under the order's marking.  Decisions are memoized per (ideal, caps),
-    and every feasible marking is kept with its weight witness.
+    and every feasible marking is kept with its weight witness, in product
+    order.
     """
     # positional, so that calls with and without keywords share an entry
     return _decide(ideal, marking_cap, spair_cap)
@@ -146,6 +168,13 @@ def decide_quadratic_gb(ideal: ToricIdeal,
 @lru_cache(maxsize=64)
 def _decide(ideal: ToricIdeal, marking_cap: int,
             spair_cap: int) -> QGBDecision:
+    """Walk the markings (see the module docstring) and series-test each
+    feasible one, stopping at the first match.
+
+    Every marking is either a leaf or inside a cut subtree, and the walk
+    meets them in product order, so ``tested``, ``feasible``, the witness
+    marking and the order of the samples are those of a plain enumeration.
+    """
     pres = ideal.presentation
     width = pres.width
     fc = fiber_classes(ideal.map, 2)
@@ -159,14 +188,12 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
     feasible_count = 0
     tested = 0
     samples: list[tuple[Marking, tuple[int, ...]]] = []
-    for minima in product(*(range(len(cls)) for cls in fc.classes)):
-        tested += 1
-        marking = Marking(fc, minima)
-        diffs = marking.difference_vectors()
-        w = feasible_strict(diffs) if diffs else tuple([1] * width)
+    for minima, w, accounted in _walk(fc, width):
+        tested += accounted
         if w is None:
             continue
         feasible_count += 1
+        marking = Marking(fc, minima)
         samples.append((marking, w))
         gens = marking.nonminimal_members()
         if monomial_numerator(gens) != target_numerator:
@@ -184,6 +211,37 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
                            feasible_samples=tuple(samples))
     return QGBDecision(False, total, feasible_count, tested,
                        feasible_samples=tuple(samples))
+
+
+def _walk(fc: FiberClasses, width: int):
+    """Depth-first over the markings in product order.
+
+    Yields (minima, w, 1) for each feasible marking with its witness w, and
+    (prefix, None, size) for each infeasible prefix with the number of
+    markings below it.
+    """
+    steps = [[_class_differences(cls, m) for m in range(len(cls))]
+             for cls in fc.classes]
+    below = [prod(len(cls) for cls in fc.classes[i + 1:])
+             for i in range(len(steps))]
+
+    def visit(depth, minima, diffs, w):
+        if depth == len(steps):
+            yield minima, w, 1
+            return
+        for m, new in enumerate(steps[depth]):
+            prefix = diffs + new
+            if all(sum(a * b for a, b in zip(w, d)) > 0 for d in new):
+                child = w
+            else:
+                child = feasible_strict(prefix)
+            if child is None:
+                yield minima + (m,), None, below[depth]
+            else:
+                yield from visit(depth + 1, minima + (m,), prefix, child)
+
+    # the empty system: the all-ones witness
+    yield from visit(0, (), [], (1,) * width)
 
 
 def cross_check_marking(ideal: ToricIdeal, marking: Marking,

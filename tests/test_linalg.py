@@ -2,7 +2,9 @@
 the characteristic that names the field."""
 
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -110,7 +112,12 @@ def test_rational_elimination_never_yields_floats():
         assert all(type(v) in (int, Fraction) for v in values)
 
 
-@pytest.mark.parametrize("p", [6, -3, 1, 32001])
+@pytest.mark.parametrize("p", [6, -3, 1, 32001,
+                               # pseudoprimes to some Miller-Rabin bases; the
+                               # last is strong to every base up to 23
+                               561, 2047, 3215031751, 3825123056546413051,
+                               # above the Miller-Rabin bound: trial division
+                               2 * 3317044064679887385961981])
 def test_bad_characteristic_is_rejected(p):
     with pytest.raises(InputError):
         check_characteristic(p)
@@ -120,6 +127,25 @@ def test_bad_characteristic_is_rejected(p):
 
 def test_good_characteristic_is_kept():
     assert [check_characteristic(p) for p in (0, 2, 7, 32003)] == [0, 2, 7, 32003]
+
+
+def test_large_primes_are_accepted_quickly():
+    primes = (2 ** 61 - 1, 2 ** 64 - 59, 10 ** 14 + 31)
+    start = time.perf_counter()
+    assert [check_characteristic(p) for p in primes] == list(primes)
+    # trial division needs over a second for 10**14 + 31 alone
+    assert time.perf_counter() - start < 0.1
+
+
+def test_primality_agrees_with_trial_division():
+    for p in range(-5, 20000):
+        prime = p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+        try:
+            check_characteristic(p)
+            kept = True
+        except InputError:
+            kept = False
+        assert kept == (prime or p == 0), p
 
 
 def test_to_field_maps_rationals_into_gf_p():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from koszulforge import qgb
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.exactlp import feasible_strict, nonnegative_shift
 from koszulforge.graphs import complete, cycle, parse_graph
+from koszulforge.hilbert import hilbert_series, monomial_numerator
 from koszulforge.qgb import (Marking, cross_check_marking, decide_quadratic_gb,
                              sample_feasible_markings,
                              series_test_for_marking, weight_feasible)
@@ -80,6 +82,29 @@ def test_feasibility_matches_brute_force_small():
             assert not brute
 
 
+def test_infeasible_results_hold_against_brute_force():
+    # systems shaped like markings: coordinate sums zero, so every None
+    # comes out of the simplex with multipliers it has re-verified
+    import itertools
+    import random
+    rng = random.Random(23)
+    box = list(itertools.product(range(-3, 4), repeat=4))
+    infeasible = 0
+    for _ in range(150):
+        diffs = []
+        for _ in range(rng.randint(2, 6)):
+            d = [rng.randint(-2, 2) for _ in range(3)]
+            d.append(-sum(d))
+            if any(d):
+                diffs.append(tuple(d))
+        if not diffs or feasible_strict(diffs) is not None:
+            continue
+        infeasible += 1
+        assert not any(all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs)
+                       for w in box)
+    assert infeasible > 20
+
+
 def test_infeasible_subset_is_infeasible():
     diffs = [(1, 0), (0, 1), (-1, -1), (1, 1)]
     res = weight_feasible(diffs)
@@ -141,9 +166,21 @@ FORGED_WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("where", sorted(FORGED_WITNESSES))
-def test_forged_witness_raises_under_optimize(where):
-    code = FORGED_WITNESSES[where] + textwrap.dedent("""
+# forge the Gordan multipliers of an infeasible system: a pivot that leaves
+# one slack reduced cost in the objective row off by one
+FORGED_MULTIPLIERS = (
+    "from koszulforge import exactlp\n"
+    "pivot = exactlp._pivot\n"
+    "def forged(rows, obj, *args):\n"
+    "    den = pivot(rows, obj, *args)\n"
+    "    obj[-2] -= den\n"
+    "    return den\n"
+    "exactlp._pivot = forged\n"
+    "check = lambda: exactlp.feasible_strict([(1, 0), (-2, 0)])")
+
+
+def _run_optimized(forge):
+    code = forge + textwrap.dedent("""
         try:
             check()
         except AssertionError:
@@ -153,8 +190,18 @@ def test_forged_witness_raises_under_optimize(where):
     src = str(Path(koszulforge.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("where", sorted(FORGED_WITNESSES))
+def test_forged_witness_raises_under_optimize(where):
+    done = _run_optimized(FORGED_WITNESSES[where])
+    assert done.returncode == 0, done.stderr
+
+
+def test_forged_multipliers_raise_under_optimize():
+    done = _run_optimized(FORGED_MULTIPLIERS)
     assert done.returncode == 0, done.stderr
 
 
@@ -227,6 +274,40 @@ def test_marking_cap_is_hard_failure():
     ideal = closed_form_generators("cbar", 3)
     with pytest.raises(ResourceCapError):
         decide_quadratic_gb(ideal, marking_cap=100)
+
+
+def naive_decision(ideal):
+    """Reference search: the LP on every full marking in product order, and
+    the series test on each feasible one, up to the first match."""
+    fc = fiber_classes(ideal.map, 2)
+    target = hilbert_series(ideal.presentation).numerator
+    tested = feasible = 0
+    samples = []
+    for minima in product(*(range(len(cls)) for cls in fc.classes)):
+        tested += 1
+        marking = Marking(fc, minima)
+        if feasible_strict(marking.difference_vectors()) is None:
+            continue
+        feasible += 1
+        samples.append(minima)
+        if monomial_numerator(marking.nonminimal_members()) == target:
+            return tested, feasible, minima, samples
+    return tested, feasible, None, samples
+
+
+@pytest.mark.parametrize("spec", ["cycle(5)", "paper:G4"])
+def test_pruned_walk_matches_naive_enumeration(spec):
+    ideal = toric_ideal(monomial_map(parse_graph(spec)))
+    decision = decide_quadratic_gb(ideal)
+    tested, feasible, witness, samples = naive_decision(ideal)
+    assert decision.tested_markings == tested
+    assert decision.feasible_markings == feasible
+    assert decision.witness_marking.minima == witness
+    assert [m.minima for m, _ in decision.feasible_samples] == samples
+    # inherited witnesses still realize their markings
+    for marking, w in decision.feasible_samples:
+        assert all(sum(a * b for a, b in zip(w, d)) > 0
+                   for d in marking.difference_vectors())
 
 
 def test_cross_check_agrees_on_pentagon():

@@ -3,12 +3,17 @@ standard monomials, and elimination.
 
 The pair handling follows Gebauer-Moeller (the update step of Becker and
 Weispfenning's GROEBNERNEWS2) with the normal selection strategy: process
-the pair whose lcm has the lowest total degree first.  Everything is exact
-over the rationals and deterministic.
+the pair whose lcm has the lowest total degree first, ties broken by the
+term order on the lcm and then by the pair's indices.  A pair's lcm and its
+selection key are computed once, when the pair is created, and pending
+pairs wait in a heap; a pair the criteria discard later is skipped when it
+is popped.  Each basis element keeps its leading monomial and its order
+key.  Everything is exact over the rationals and deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,10 +158,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by gb; zero iff f lies in the ideal."""
     if f.width != gb.order.width:
         raise InputError("polynomial and basis live in different rings")
-    key = gb.order.key
-    reducers = [(g.leading(gb.order)[0], g.leading(gb.order)[1], g.terms)
-                for g in gb.elements]
-    reduced = _reduce_dict(f.terms, reducers, key)
+    reducers = [(*g.leading(gb.order), g.terms) for g in gb.elements]
+    reduced = _reduce_dict(f.terms, reducers, gb.order.key)
     return Polynomial(f.width, reduced)
 
 
@@ -172,6 +175,13 @@ class _Engine:
         self.processed = 0
         self.polys: list[dict[Monomial, Fraction]] = []
         self.lms: list[Monomial] = []
+        self.lm_keys: list = []
+        self.G: set[int] = set()
+        # live pairs with the lcm of their leading monomials; the heap holds
+        # every pair ever created, and a pair once dropped from B never
+        # returns, so popping skips the dead ones
+        self.B: dict[tuple[int, int], Monomial] = {}
+        self.heap: list = []
 
     def add_poly(self, terms: dict[Monomial, Fraction]) -> int:
         lm = max(terms, key=self.key)
@@ -180,45 +190,56 @@ class _Engine:
             terms = {m: c / lc for m, c in terms.items()}
         self.polys.append(terms)
         self.lms.append(lm)
+        self.lm_keys.append(self.key(lm))
         return len(self.polys) - 1
 
+    def by_leading(self, indices) -> list[int]:
+        return sorted(indices, key=self.lm_keys.__getitem__)
+
     def reduce(self, terms: dict[Monomial, Fraction], against: list[int]):
-        reducers = [(self.lms[i], Fraction(1), self.polys[i]) for i in against]
+        one = Fraction(1)
+        reducers = [(self.lms[i], one, self.polys[i]) for i in against]
         return _reduce_dict(terms, reducers, self.key)
 
-    def update(self, G: set[int], B: set[tuple[int, int]], ih: int):
+    def update(self, ih: int) -> None:
         """Gebauer-Moeller pair update after adding basis element ih."""
-        mh = self.lms[ih]
-        C = set(G)
-        D: set[tuple[int, int]] = set()
+        lms = self.lms
+        mh = lms[ih]
+        # lcm(mh, lm_g) for every element so far: pairs in B may involve
+        # elements that have already left G
+        lcm_h = [mono_lcm(mh, m) for m in lms]
+        C = set(self.G)
+        D: list[int] = []
+        E: list[int] = []
         while C:
             ig = C.pop()
-            mg = self.lms[ig]
-            lcm_hg = mono_lcm(mh, mg)
+            lcm_hg = lcm_h[ig]
+            if mono_mul(mh, lms[ig]) == lcm_hg:
+                D.append(ig)
+            elif (not any(mono_divides(lcm_h[ip], lcm_hg) for ip in C)
+                    and not any(mono_divides(lcm_h[ip], lcm_hg) for ip in D)):
+                D.append(ig)
+                E.append(ig)
+        self.B = {pair: lcm12 for pair, lcm12 in self.B.items()
+                  if not mono_divides(mh, lcm12)
+                  or lcm_h[pair[0]] == lcm12 or lcm_h[pair[1]] == lcm12}
+        for ig in E:
+            pair, lcm = (ih, ig), lcm_h[ig]
+            self.B[pair] = lcm
+            heapq.heappush(self.heap, (mono_degree(lcm), self.key(lcm), pair))
+        self.G = {ig for ig in self.G if not mono_divides(mh, lms[ig])}
+        self.G.add(ih)
 
-            def lcm_divides(ip: int) -> bool:
-                return mono_divides(mono_lcm(mh, self.lms[ip]), lcm_hg)
+    def pop_pair(self) -> tuple[tuple[int, int], Monomial]:
+        """The live pair whose lcm is least by (degree, order key, pair)."""
+        while True:
+            pair = heapq.heappop(self.heap)[2]
+            lcm = self.B.pop(pair, None)
+            if lcm is not None:
+                return pair, lcm
 
-            if mono_mul(mh, mg) == lcm_hg or (
-                    not any(lcm_divides(ip) for ip in C)
-                    and not any(lcm_divides(pair[1]) for pair in D)):
-                D.add((ih, ig))
-        E = {(i, g) for i, g in D if mono_mul(mh, self.lms[g]) != mono_lcm(mh, self.lms[g])}
-        B_new = set()
-        for ig1, ig2 in B:
-            lcm12 = mono_lcm(self.lms[ig1], self.lms[ig2])
-            if (not mono_divides(mh, lcm12)
-                    or mono_lcm(self.lms[ig1], mh) == lcm12
-                    or mono_lcm(self.lms[ig2], mh) == lcm12):
-                B_new.add((ig1, ig2))
-        B_new |= E
-        G_new = {ig for ig in G if not mono_divides(mh, self.lms[ig])}
-        G_new.add(ih)
-        return G_new, B_new
-
-    def spoly(self, i: int, j: int) -> dict[Monomial, Fraction]:
+    def spoly(self, i: int, j: int, lcm: Monomial) -> dict[Monomial, Fraction]:
         mi, mj = self.lms[i], self.lms[j]
-        lcm = mono_lcm(mi, mj)
         si, sj = mono_div(lcm, mi), mono_div(lcm, mj)
         out: dict[Monomial, Fraction] = {}
         for m, c in self.polys[i].items():
@@ -260,19 +281,18 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     # cancellation, and we iterate to a fixpoint
     current = [dict(g.terms) for g in pres.generators]
     while True:
-        kept: list[dict] = []
+        kept: list[tuple[Monomial, Fraction, dict]] = []
         changed = False
         for p in current:
-            reducers = [(max(q, key=eng.key), q[max(q, key=eng.key)], q)
-                        for q in kept]
-            r = _reduce_dict(p, reducers, eng.key)
+            r = _reduce_dict(p, kept, eng.key)
             if r != p:
                 changed = True
             if r:
                 lm = max(r, key=eng.key)
                 lc = r[lm]
-                kept.append({m: c / lc for m, c in r.items()})
-        current = kept
+                q = {m: c / lc for m, c in r.items()}
+                kept.append((lm, q[lm], q))
+        current = [q for _, _, q in kept]
         if not changed:
             break
     if not current:
@@ -280,31 +300,24 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     for p in current:
         eng.add_poly(p)
 
-    G: set[int] = set()
-    B: set[tuple[int, int]] = set()
-    for ih in sorted(range(len(eng.polys)), key=lambda i: eng.key(eng.lms[i])):
-        G, B = eng.update(G, B, ih)
+    for ih in eng.by_leading(range(len(eng.polys))):
+        eng.update(ih)
 
-    while B:
-        pair = min(B, key=lambda p: (mono_degree(mono_lcm(eng.lms[p[0]], eng.lms[p[1]])),
-                                     eng.key(mono_lcm(eng.lms[p[0]], eng.lms[p[1]])),
-                                     p))
-        B.remove(pair)
+    while eng.B:
+        pair, lcm = eng.pop_pair()
         eng.processed += 1
         if eng.processed > eng.cap:
             raise ResourceCapError(
                 f"S-pair budget of {eng.cap} exceeded; raise --spair-cap to continue")
-        s = eng.spoly(*pair)
+        s = eng.spoly(*pair, lcm)
         if not s:
             continue
-        ordered = sorted(G, key=lambda i: eng.key(eng.lms[i]))
-        h = eng.reduce(s, ordered)
+        h = eng.reduce(s, eng.by_leading(eng.G))
         if h:
-            ih = eng.add_poly(h)
-            G, B = eng.update(G, B, ih)
+            eng.update(eng.add_poly(h))
 
     # minimalize and tail-reduce into the reduced basis
-    chosen = sorted(G, key=lambda i: eng.key(eng.lms[i]))
+    chosen = eng.by_leading(eng.G)
     minimal = [i for i in chosen
                if not any(j != i and mono_divides(eng.lms[j], eng.lms[i])
                           for j in chosen)]

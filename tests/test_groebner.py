@@ -5,14 +5,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
+from koszulforge.graphs import parse_graph
 from koszulforge.groebner import (IdealPresentation, eliminate,
                                   initial_ideal, monomial_ideal,
                                   multiplication_table, normal_form,
                                   reduced_gb, spolynomial, standard_monomials)
 from koszulforge.polyring import Polynomial, TermOrder, mono_divides
-from koszulforge.toric import closed_form_generators
+from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
 def P(width, *terms):
@@ -174,6 +177,76 @@ def test_spair_cap_is_hard_failure():
     ideal = closed_form_generators("cbar", 3)
     with pytest.raises(ResourceCapError):
         reduced_gb(ideal.presentation, TermOrder.grevlex(15), spair_cap=2)
+
+
+@pytest.mark.parametrize("spec, elimination, grevlex",
+                         [("cycle(5)", 261, 25), ("paper:G4", 483, 52)],
+                         ids=["cycle(5)", "paper:G4"])
+def test_spair_count_is_pinned(spec, elimination, grevlex):
+    # processed S-pairs of the elimination and of the grevlex basis of its
+    # result; a change in pair selection or pruning moves these counts
+    mp = monomial_map(parse_graph(spec))
+    ideal = toric_ideal(mp, spair_cap=elimination)
+    with pytest.raises(ResourceCapError):
+        toric_ideal(mp, spair_cap=elimination - 1)
+    order = TermOrder.grevlex(ideal.presentation.width)
+    reduced_gb(ideal.presentation, order, spair_cap=grevlex)
+    with pytest.raises(ResourceCapError):
+        reduced_gb(ideal.presentation, order, spair_cap=grevlex - 1)
+
+
+@st.composite
+def small_ideals(draw):
+    """Homogeneous binomials and trinomials in 3-5 variables, with a global
+    order: grevlex, lex or weight over a random ranking, or a block order.
+    Homogeneous, so every reduction stays inside one degree."""
+    width = draw(st.integers(3, 5))
+    ranking = draw(st.permutations(range(width)))
+    kind = draw(st.sampled_from(["grevlex", "lex", "weight", "block"]))
+    if kind == "grevlex":
+        order = TermOrder.grevlex(width, ranking)
+    elif kind == "lex":
+        order = TermOrder.lex(width, ranking)
+    elif kind == "weight":
+        weights = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
+        order = TermOrder.weight(weights, ranking)
+    else:
+        dropped = draw(st.sets(st.integers(0, width - 1),
+                               min_size=1, max_size=width - 1))
+        order = TermOrder.block(width, dropped, TermOrder.grevlex(width, ranking))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        monomial = st.lists(st.integers(0, width - 1), min_size=degree,
+                            max_size=degree).map(
+            lambda vs: tuple(vs.count(v) for v in range(width)))
+        monos = draw(st.lists(monomial, min_size=2, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                               min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial(width, dict(zip(monos, map(Fraction, coeffs)))))
+    labels = tuple(f"x{i}" for i in range(width))
+    return IdealPresentation(labels, tuple(gens)), order
+
+
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_reduced_gb_properties(case):
+    pres, order = case
+    gb = reduced_gb(pres, order)
+    els = gb.elements
+    lms = gb.leading_monomials()
+    for i, g in enumerate(els):
+        assert g.leading(order)[1] == 1
+        for mono in g.terms:
+            assert not any(mono_divides(lm, mono)
+                           for j, lm in enumerate(lms) if j != i)
+    for f, g in itertools.combinations(els, 2):
+        assert normal_form(spolynomial(f, g, order), gb).is_zero()
+    for f in pres.generators:
+        assert normal_form(f, gb).is_zero()
+    # the reduced basis is unique, whatever order the pairs arise in
+    backwards = IdealPresentation(pres.labels, pres.generators[::-1])
+    assert reduced_gb(backwards, order).elements == els
 
 
 def test_reduced_gb_memoized_with_or_without_spair_cap(heptagon):

@@ -22,7 +22,7 @@ from .hilbert import gorenstein_certificate, hilbert_series
 from .polyring import TermOrder
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
 from .reports import AnalyzeOptions, analyze, render_text
-from .toric import monomial_map, toric_ideal
+from .toric import ToricIdeal, monomial_map, toric_ideal
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "ideal" in groups:
             p.add_argument("--spair-cap", type=int, default=DEFAULT_SPAIR_CAP)
         if "order" in groups:
-            p.add_argument("--order",
-                           choices=["grevlex", "lex", "revlex-nongraded"],
+            p.add_argument("--order", choices=["grevlex", "lex"],
                            default="grevlex")
             p.add_argument("--var-order", default=None,
                            help="comma-separated labels, least variable first")
@@ -59,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jmax", type=int, default=5)
         if "seed" in groups:
             p.add_argument("--seed", type=int, default=0)
-        if "jobs" in groups:
-            p.add_argument("--jobs", type=int, default=1)
 
     for name, groups in (("stable-sets", ()),
                          ("classify", ()),
@@ -80,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("paper-suite")
     suite.add_argument("--cases", default=None,
                        help="comma-separated case ids (default: all)")
-    flags(suite, "jobs")
+    flags(suite)
     return parser
 
 
@@ -106,7 +103,6 @@ def _split_labels(text: str) -> list[str]:
 
 
 def _resolve_order(args, labels) -> TermOrder:
-    width = len(labels)
     ranking = None
     if args.var_order:
         wanted = _split_labels(args.var_order)
@@ -114,11 +110,8 @@ def _resolve_order(args, labels) -> TermOrder:
             raise InputError("--var-order must list every variable label once")
         pos = {lab: i for i, lab in enumerate(labels)}
         ranking = tuple(pos[lab] for lab in wanted)
-    if args.order == "grevlex":
-        return TermOrder.grevlex(width, ranking)
-    if args.order == "lex":
-        return TermOrder.lex(width, ranking)
-    return TermOrder.revlex_nongraded(width, ranking)
+    build = {"grevlex": TermOrder.grevlex, "lex": TermOrder.lex}[args.order]
+    return build(len(labels), ranking)
 
 
 def _emit(args, payload: dict | list, text: str | None = None) -> None:
@@ -150,6 +143,12 @@ def _cached_or(args, payload_key: dict, compute):
     return value
 
 
+def _toric_ideal(args) -> ToricIdeal:
+    """The toric ideal of the graph named on the command line."""
+    return toric_ideal(monomial_map(parse_graph(args.graph)),
+                       spair_cap=args.spair_cap)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -176,11 +175,7 @@ def _dispatch(args) -> int:
 
     if cmd == "classify":
         g = parse_graph(args.graph)
-        flags = classify(g)
-        payload = {k: getattr(flags, k) for k in
-                   ("bipartite", "almost_bipartite", "comparability",
-                    "perfect", "complement_bipartite",
-                    "max_cliques_equicardinal")}
+        payload = classify(g).to_json()
         _emit(args, payload,
               text="\n".join(f"{k}: {v}" for k, v in payload.items()))
         return 0
@@ -192,16 +187,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "toric-ideal":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         _emit(args, ideal.to_json(),
               text=f"{len(ideal.presentation.generators)} generators "
                    f"({ideal.provenance})")
         return 0
 
     if cmd == "groebner":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         order = _resolve_order(args, ideal.presentation.labels)
         payload = _cached_or(
             args,
@@ -215,23 +208,20 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "hilbert":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         hd = hilbert_series(ideal.presentation, spair_cap=args.spair_cap)
         _emit(args, hd.to_json(), text=hd.series_str())
         return 0
 
     if cmd == "gorenstein":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         cert = gorenstein_certificate(ideal, seed=args.seed,
                                       spair_cap=args.spair_cap)
         _emit(args, cert.to_json(), text=f"{cert.verdict}: {cert.reason}")
         return 0
 
     if cmd == "qgb":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         decision = _cached_or(
             args,
             {"op": "qgb", "ideal": ideal.presentation.to_json(),
@@ -243,8 +233,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "koszul":
-        g = parse_graph(args.graph)
-        ideal = toric_ideal(monomial_map(g), spair_cap=args.spair_cap)
+        ideal = _toric_ideal(args)
         config = KoszulConfig(i_max=args.imax, j_max=args.jmax,
                               characteristic=args.char,
                               spair_cap=args.spair_cap,
@@ -267,8 +256,11 @@ def _dispatch(args) -> int:
         from .paper_suite import run_cases
         ids = None
         if args.cases:
-            ids = [int(x) for x in args.cases.split(",")]
-        results = run_cases(ids, jobs=args.jobs)
+            try:
+                ids = [int(x) for x in args.cases.split(",")]
+            except ValueError:
+                raise InputError("--cases takes comma-separated case ids") from None
+        results = run_cases(ids)
         payload = {"schema": "koszul-forge/1",
                    "suite": [r.to_json() for r in results],
                    "all_passed": all(r.passed for r in results),

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass
 
 from .errors import InputError, ResourceCapError
 
@@ -61,6 +60,9 @@ def graph(n: int, edges) -> Graph:
     """Normalizing constructor: sorts endpoints, rejects loops and duplicates."""
     norm = set()
     for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) == 2
+                and all(isinstance(v, int) for v in e)):
+            raise InputError(f"bad edge {e!r}: expected a pair of vertices")
         i, j = e
         if i == j:
             raise InputError(f"loop at vertex {i}")
@@ -173,13 +175,27 @@ def parse_graph(spec: str) -> Graph:
 def _looks_like_edge_lines(text: str) -> bool:
     head = text.split("\n", 1)[0].strip()
     parts = head.split()
-    return len(parts) == 2 and all(p.isdigit() for p in parts)
+    return len(parts) == 2 and all(_is_number(p) for p in parts)
+
+
+def _is_number(text: str) -> bool:
+    """A nonempty run of ASCII digits (str.isdigit also accepts digits that
+    int() rejects, such as superscripts)."""
+    return text.isascii() and text.isdigit()
+
+
+def _to_int(digits: str) -> int:
+    """int() of a digit run, which fails past Python's conversion limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(f"a {len(digits)}-digit number is too long") from None
 
 
 def _graph_from_json_text(text: str) -> Graph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from exc
     return graph_from_json(data)
 
@@ -190,7 +206,9 @@ def graph_from_json(data: dict) -> Graph:
     n = data["n"]
     if not isinstance(n, int):
         raise InputError("graph JSON: n must be an integer")
-    return graph(n, [tuple(e) for e in data["edges"]])
+    if not isinstance(data["edges"], list):
+        raise InputError("graph JSON: edges must be a list of pairs")
+    return graph(n, data["edges"])
 
 
 def _graph_from_edge_text(text: str) -> Graph:
@@ -201,9 +219,9 @@ def _graph_from_edge_text(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(_is_number(p) for p in parts):
             raise InputError(f"bad edge line: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _to_int(parts[0]), _to_int(parts[1])
         if i < 1 or j < 1:
             raise InputError(f"vertices must be >= 1: {line!r}")
         top = max(top, i, j)
@@ -248,11 +266,11 @@ def _parse_dsl(text: str) -> tuple[Graph, str]:
 def _parse_int(text: str) -> tuple[int, str]:
     text = text.lstrip()
     i = 0
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and _is_number(text[i]):
         i += 1
     if i == 0:
         raise InputError(f"expected an integer at: {text!r}")
-    return int(text[:i]), text[i:]
+    return _to_int(text[:i]), text[i:]
 
 
 def _expect(text: str, ch: str) -> str:
@@ -327,15 +345,19 @@ class GraphClassFlags:
     complement_bipartite: bool
     max_cliques_equicardinal: bool
 
+    def to_json(self) -> dict:
+        return asdict(self)
 
-DEFAULT_CLASSIFY_CAP = 12
+
+# the largest graph the brute-force classification takes
+CLASSIFY_CAP = 12
 
 
-def classify(g: Graph, max_n: int = DEFAULT_CLASSIFY_CAP) -> GraphClassFlags:
+def classify(g: Graph) -> GraphClassFlags:
     """Brute-force membership in the graph classes the pipeline cares about."""
-    if g.n > max_n:
+    if g.n > CLASSIFY_CAP:
         raise ResourceCapError(
-            f"classify supports n <= {max_n} (got n={g.n}); raise the cap explicitly")
+            f"classify supports n <= {CLASSIFY_CAP} (got n={g.n})")
     comp = complement(g)
     cliques = maximal_stable_sets(comp)
     sizes = {len(c) for c in cliques}
@@ -381,7 +403,6 @@ def has_transitive_orientation(g: Graph) -> bool:
     edges = sorted(g.edges)
     if not edges:
         return True
-    edge_set = set(edges)
 
     def propagate(orient: dict[Edge, int], queue: list[tuple[int, int]]) -> bool:
         # orient[(i,j)] = +1 for i->j, -1 for j->i
@@ -428,7 +449,6 @@ def has_transitive_orientation(g: Graph) -> bool:
                 return True
         return False
 
-    assert edge_set  # non-empty checked above
     return search({})
 
 
@@ -496,11 +516,9 @@ def _canonical_bits(n: int, masks: list[int]) -> int:
     for perm_parts in itertools.product(*(itertools.permutations(c) for c in classes)):
         order = [v for part in perm_parts for v in part]
         bits = 0
-        shift = 0
         for a in range(n):
             for b in range(a + 1, n):
                 bits = (bits << 1) | ((masks[order[a]] >> order[b]) & 1)
-                shift += 1
         if best is None or bits < best:
             best = bits
     assert best is not None
@@ -512,10 +530,6 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
     total = len(pairs)
     edges = [pairs[k] for k in range(total) if (bits >> (total - 1 - k)) & 1]
     return graph(n, edges)
-
-
-def canonical_form(g: Graph) -> Graph:
-    return _graph_from_bits(g.n, _canonical_bits(g.n, g.adjacency_masks()))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -548,7 +562,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degree_sequence()) != sorted(h.degree_sequence()):
         return False
-    gm, hm = g.adjacency_masks(), h.adjacency_masks()
+    hm = h.adjacency_masks()
     for perm in itertools.permutations(range(g.n)):
         ok = True
         for i, j in g.edges:
@@ -559,7 +573,3 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
             return True
     return False
 
-
-@lru_cache(maxsize=None)
-def _cached_enumeration(n: int) -> tuple[Graph, ...]:
-    return tuple(enumerate_graphs(n))

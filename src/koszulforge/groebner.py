@@ -111,12 +111,16 @@ class MonomialIdeal:
                           "squarefree": self.is_squarefree}}
 
 
+def minimal_generators(gens) -> list[Monomial]:
+    """The divisibility-minimal members of a set of monomials, sorted."""
+    gens = sorted(set(gens))
+    return [m for m in gens
+            if not any(g != m and mono_divides(g, m) for g in gens)]
+
+
 def monomial_ideal(width: int, gens) -> MonomialIdeal:
     """Minimalize and sort a generating set of monomials."""
-    gens = sorted(set(gens))
-    minimal = [m for m in gens
-               if not any(g != m and mono_divides(g, m) for g in gens)]
-    return MonomialIdeal(width, tuple(sorted(minimal)))
+    return MonomialIdeal(width, tuple(minimal_generators(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,6 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
 
 
 def is_quadratically_generated(pres: IdealPresentation,
-                               gb: GroebnerBasis | None = None,
                                spair_cap: int = DEFAULT_SPAIR_CAP) -> bool:
     """Whether the ideal is generated by its elements of degree <= 2.
 
@@ -344,8 +347,7 @@ def is_quadratically_generated(pres: IdealPresentation,
     property of the ideal, so it is tested by reducing every basis element
     against the subideal spanned in degrees <= 2.
     """
-    if gb is None:
-        gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
+    gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
     low = tuple(g for g in gb.elements if g.degree() <= 2)
     if len(low) == len(gb.elements):
         return True
@@ -374,13 +376,12 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 # standard monomials and multiplication tables
 # ---------------------------------------------------------------------------
 
-def standard_monomials(ideal: MonomialIdeal, degree: int,
-                       order: TermOrder | None = None) -> list[Monomial]:
-    """All degree-d monomials outside the ideal, sorted by the order."""
+def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
+    """All degree-d monomials outside the ideal, in grevlex order."""
     if degree < 0:
         raise InputError("degree must be >= 0")
     m = ideal.width
-    order = order or TermOrder.grevlex(m)
+    order = TermOrder.grevlex(m)
     out = []
     for combo in itertools.combinations_with_replacement(range(m), degree):
         mono = [0] * m

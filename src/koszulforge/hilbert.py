@@ -20,12 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
-                       MonomialIdeal, initial_ideal, multiplication_table,
+from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, MonomialIdeal,
+                       initial_ideal, minimal_generators, multiplication_table,
                        reduced_gb, standard_monomials)
 from .linalg import Eliminator
-from .polyring import (Monomial, Polynomial, TermOrder, mono_degree,
-                       mono_divides, unit_mono)
+from .polyring import Monomial, Polynomial, TermOrder, mono_degree, unit_mono
 from .toric import ToricIdeal
 
 IntPoly = tuple[int, ...]  # coefficient list in t, constant term first
@@ -119,14 +118,7 @@ def monomial_numerator(gens) -> IntPoly:
     """Numerator Q(t) with H(K[x_1..x_m]/I) = Q(t) / (1-t)^m.
 
     Q does not depend on the ambient width, only on the generators."""
-    gens = _minimalized(gens)
-    return _numerator(frozenset(gens))
-
-
-def _minimalized(gens) -> list[Monomial]:
-    gens = sorted(set(gens))
-    return [g for g in gens
-            if not any(h != g and mono_divides(h, g) for h in gens)]
+    return _numerator(frozenset(minimal_generators(gens)))
 
 
 @lru_cache(maxsize=2 ** 16)
@@ -163,8 +155,8 @@ def _numerator(gens: frozenset) -> IntPoly:
             reduced = list(g)
             reduced[pivot] -= 1
             colon.append(tuple(reduced))
-    q_plus = _numerator(frozenset(_minimalized(plus)))
-    q_colon = _numerator(frozenset(_minimalized(colon)))
+    q_plus = _numerator(frozenset(minimal_generators(plus)))
+    q_colon = _numerator(frozenset(minimal_generators(colon)))
     return poly1_add(q_plus, poly1_shift(q_colon, 1))
 
 
@@ -240,14 +232,12 @@ def hilbert_data_of_monomial_ideal(ideal: MonomialIdeal) -> HilbertData:
 
 
 def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
-                   spair_cap: int = DEFAULT_SPAIR_CAP,
-                   gb: GroebnerBasis | None = None) -> HilbertData:
+                   spair_cap: int = DEFAULT_SPAIR_CAP) -> HilbertData:
     """Hilbert data of K[Y]/I, via the initial ideal of a reduced basis."""
     if not pres.homogeneous:
         raise InputError("hilbert_series expects a homogeneous ideal")
-    if gb is None:
-        order = order or TermOrder.grevlex(pres.width)
-        gb = reduced_gb(pres, order, spair_cap=spair_cap)
+    order = order or TermOrder.grevlex(pres.width)
+    gb = reduced_gb(pres, order, spair_cap=spair_cap)
     return hilbert_data_of_monomial_ideal(initial_ideal(gb))
 
 
@@ -448,11 +438,18 @@ def _label_subset(label: str) -> tuple[int, ...] | None:
     return tuple(int(x) for x in body.split(","))
 
 
-def lsop_candidates(labels: tuple[str, ...], seed: int, random_attempts: int):
+DEFAULT_LSOP_SEED = 20260811
+# seeded random candidates per slot, after the structured ones
+LSOP_RANDOM_CANDIDATES = 20
+# regularity tests one search may spend
+LSOP_BUDGET = 600
+
+
+def lsop_candidates(labels: tuple[str, ...], seed: int):
     """Deterministic stream of degree-1 candidates for a linear system of
     parameters: the empty-set variable, vertex-minus-disjoint-edge
     differences, vertex-minus-vertex differences, bare variables, then
-    seeded small-integer combinations.
+    ``LSOP_RANDOM_CANDIDATES`` seeded small-integer combinations.
 
     Differences are ordered by cyclic distance from the vertex so that
     successor-style pairings (the ones that work for the cycle-complement
@@ -497,29 +494,22 @@ def lsop_candidates(labels: tuple[str, ...], seed: int, random_attempts: int):
         emitted.append(var(i))
     yield from emitted
     rng = random.Random(seed)
-    for _ in range(random_attempts):
+    for _ in range(LSOP_RANDOM_CANDIDATES):
         coeffs = [Fraction(rng.choice([-2, -1, 0, 1, 1, 2])) for _ in range(width)]
         if any(coeffs):
             yield Polynomial(width, {unit_mono(width, v): c
                                      for v, c in enumerate(coeffs) if c})
 
 
-DEFAULT_LSOP_SEED = 20260811
-DEFAULT_LSOP_ATTEMPTS = 20
-DEFAULT_LSOP_BUDGET = 600
-
-
 def find_regular_linear_system(pres: IdealPresentation, length: int,
                                seed: int = DEFAULT_LSOP_SEED,
-                               attempts_per_slot: int = DEFAULT_LSOP_ATTEMPTS,
                                spair_cap: int = DEFAULT_SPAIR_CAP,
-                               budget: int = DEFAULT_LSOP_BUDGET,
                                ) -> tuple[list[Polynomial], IdealPresentation] | None:
     """Depth-first search for ``length`` successively regular linear forms.
 
     Candidates are tried greedily in stream order with backtracking when a
-    prefix dead-ends; at most ``budget`` regularity tests are spent before
-    reporting failure.  Returns the forms (each in the ring of its own step)
+    prefix dead-ends; at most ``LSOP_BUDGET`` regularity tests are spent
+    before reporting failure.  Returns the forms (each in the ring of its own step)
     and the final quotient presentation, or None.
     """
     tests = [0]
@@ -528,9 +518,8 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
             ) -> tuple[list[Polynomial], IdealPresentation] | None:
         if slot == length:
             return [], current
-        for cand in lsop_candidates(current.labels, seed + slot,
-                                    attempts_per_slot):
-            if tests[0] >= budget:
+        for cand in lsop_candidates(current.labels, seed + slot):
+            if tests[0] >= LSOP_BUDGET:
                 return None
             tests[0] += 1
             try:
@@ -553,7 +542,6 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
 
 def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
                            seed: int = DEFAULT_LSOP_SEED,
-                           attempts_per_slot: int = DEFAULT_LSOP_ATTEMPTS,
                            spair_cap: int = DEFAULT_SPAIR_CAP,
                            socle_even_if_asymmetric: bool = False,
                            ) -> GorensteinCertificate:
@@ -573,7 +561,6 @@ def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
             pres, hd, "NotGorenstein",
             "asymmetric h-vector (fails the necessary symmetry test)")
     found = find_regular_linear_system(pres, hd.krull_dim, seed=seed,
-                                       attempts_per_slot=attempts_per_slot,
                                        spair_cap=spair_cap)
     if found is None:
         return GorensteinCertificate(

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .betti import (BettiTable, artinian_reduction, betti_table,
                     graded_basis, transfer_check)
+from .errors import InputError
 from .graphs import (are_isomorphic, classify, complement, cycle,
                      enumerate_graphs, parse_graph, stable_sets)
 from .groebner import (IdealPresentation, initial_ideal, normal_form,
@@ -539,20 +540,10 @@ ALL_CASES: dict[int, Callable[[], CaseResult]] = {
 }
 
 
-def run_cases(case_ids=None, jobs: int = 1) -> list[CaseResult]:
-    """Run the requested cases (all by default), in ascending id order.
-
-    With jobs > 1 the independent cases run in a thread pool; results are
-    still reported in id order and are identical to a sequential run.
-    """
+def run_cases(case_ids=None) -> list[CaseResult]:
+    """Run the requested cases (all by default), in ascending id order."""
     ids = sorted(case_ids) if case_ids else sorted(ALL_CASES)
     unknown = [i for i in ids if i not in ALL_CASES]
     if unknown:
-        from .errors import InputError
         raise InputError(f"unknown case ids: {unknown}")
-    if jobs <= 1:
-        return [ALL_CASES[i]() for i in ids]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {i: pool.submit(ALL_CASES[i]) for i in ids}
-        return [futures[i].result() for i in ids]
+    return [ALL_CASES[i]() for i in ids]

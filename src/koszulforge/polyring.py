@@ -46,14 +46,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_is_squarefree(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
-
-
 def unit_mono(width: int, index: int, exp: int = 1) -> Monomial:
     m = [0] * width
     m[index] = exp
@@ -75,8 +67,6 @@ class TermOrder:
     * ``grevlex``: higher total degree wins; on ties the monomial with the
       strictly larger exponent on the least variable is the smaller one,
       recursing upward through the ranking.
-    * ``revlex_nongraded``: the grevlex tiebreak without the degree-first
-      comparison.  Not a well-order; exists as an investigation flag only.
     * ``weight``: compare w-weights first, break ties with ``tiebreak``.
     * ``block``: rank every monomial containing a ``dropped`` variable above
       all monomials in the kept variables (grevlex inside the dropped block,
@@ -98,10 +88,6 @@ class TermOrder:
     @staticmethod
     def grevlex(width: int, ranking: Iterable[int] | None = None) -> "TermOrder":
         return TermOrder("grevlex", _check_ranking(width, ranking))
-
-    @staticmethod
-    def revlex_nongraded(width: int, ranking: Iterable[int] | None = None) -> "TermOrder":
-        return TermOrder("revlex_nongraded", _check_ranking(width, ranking))
 
     @staticmethod
     def weight(weights: Iterable[Fraction | int],
@@ -128,8 +114,6 @@ class TermOrder:
     @property
     def is_global(self) -> bool:
         """True if 1 is the minimal monomial (a well-order)."""
-        if self.kind == "revlex_nongraded":
-            return False
         if self.kind == "weight":
             return all(w >= 0 for w in self.weights) and self.tiebreak.is_global
         return True
@@ -141,8 +125,6 @@ class TermOrder:
             return (sum(m), tuple(-m[v] for v in self.ranking))
         if kind == "lex":
             return tuple(m[v] for v in reversed(self.ranking))
-        if kind == "revlex_nongraded":
-            return tuple(-m[v] for v in self.ranking)
         if kind == "weight":
             w = sum(wi * e for wi, e in zip(self.weights, m))
             return (w, self.tiebreak.key(m))
@@ -183,12 +165,6 @@ def _check_ranking(width: int, ranking: Iterable[int] | None) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Variable:
-    index: int
-    label: str
-
 
 class Polynomial:
     """An exact multivariate polynomial: {monomial: nonzero Fraction}.
@@ -377,17 +353,6 @@ class Polynomial:
             out[tuple(m[v] for v in keep)] = c
         return _raw(len(keep), out)
 
-    def embed(self, width: int, positions: Iterable[int]) -> "Polynomial":
-        """Map into a wider ring, variable i going to positions[i]."""
-        pos = tuple(positions)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            big = [0] * width
-            for v, e in enumerate(m):
-                big[pos[v]] = e
-            out[tuple(big)] = c
-        return _raw(width, out)
-
     # -- text and JSON -------------------------------------------------------
 
     def to_str(self, labels: Iterable[str], order: TermOrder | None = None) -> str:
@@ -437,16 +402,25 @@ def _raw(width: int, terms: dict[Monomial, Fraction]) -> Polynomial:
 # parsing
 # ---------------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"\d+(/\d+)?")
+def _number(text: str) -> Fraction:
+    """A numeral token; a zero denominator and a numeral past Python's int
+    conversion limit are input errors."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad number {text[:20]!r}: {exc}") from None
 
 
 def parse_polynomial(text: str, labels: Iterable[str]) -> Polynomial:
     """Parse ``3*y_{1,2}^2*t - 1/2*x_3`` style text against known labels."""
     labels = tuple(labels)
+    if "" in labels:
+        raise InputError("variable labels must be nonempty")
     width = len(labels)
     by_label = {lab: i for i, lab in enumerate(labels)}
+    # with no labels, a pattern that never matches
     label_re = "|".join(re.escape(lab) for lab in
-                        sorted(labels, key=len, reverse=True))
+                        sorted(labels, key=len, reverse=True)) or "(?!)"
     token_re = re.compile(rf"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<var>{label_re})"
                           rf"|(?P<op>[-+*^()]))")
     pos = 0
@@ -484,16 +458,18 @@ def parse_polynomial(text: str, labels: Iterable[str]) -> Polynomial:
         while i < n:
             kind, val = tokens[i]
             if kind == "num":
-                coeff *= Fraction(val)
+                coeff *= _number(val)
                 i += 1
             elif kind == "var":
                 v = by_label[val]
                 e = 1
                 i += 1
                 if i + 1 < n and tokens[i] == ("op", "^") and tokens[i + 1][0] == "num":
-                    e = int(tokens[i + 1][1])
+                    e = _number(tokens[i + 1][1])
+                    if e.denominator != 1:
+                        raise InputError(f"exponent {e} is not an integer")
                     i += 2
-                mono[v] += e
+                mono[v] += int(e)
             else:
                 break
             saw_factor = True

@@ -82,7 +82,8 @@ def weight_feasible(diffs: list[tuple[int, ...]],
 
     A term order realizes a finite set of strict monomial comparisons iff
     such a weight vector exists, so this is exact for markings.  Witnesses
-    are re-verified; on infeasibility a minimal-ish subset is extracted by
+    are re-verified; on infeasibility an irreducible infeasible subset (one
+    that turns feasible when any single member is dropped) is extracted by
     greedy drop-one (diagnostics mirroring the inequality-chain arguments).
     """
     diffs = [tuple(d) for d in diffs]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import __version__
 from .betti import KoszulConfig, koszul_verdict
 from .errors import InputError, ResourceCapError
-from .graphs import DEFAULT_CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
+from .graphs import CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
 from .groebner import DEFAULT_SPAIR_CAP, is_quadratically_generated
 from .hilbert import gorenstein_certificate, hilbert_series
 from .linalg import check_characteristic
@@ -33,7 +33,6 @@ class AnalyzeOptions:
     j_max: int = 5
     marking_cap: int = DEFAULT_MARKING_CAP
     spair_cap: int = DEFAULT_SPAIR_CAP
-    classify_cap: int = DEFAULT_CLASSIFY_CAP
 
 
 def graph_hash(g: Graph) -> str:
@@ -56,16 +55,8 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
     g = parse_graph(spec)
     fam = clocked("stable_sets", lambda: stable_sets(g))
     classification = None
-    if g.n <= options.classify_cap:
-        flags = clocked("classify", lambda: classify(g, options.classify_cap))
-        classification = {
-            "bipartite": flags.bipartite,
-            "almost_bipartite": flags.almost_bipartite,
-            "comparability": flags.comparability,
-            "perfect": flags.perfect,
-            "complement_bipartite": flags.complement_bipartite,
-            "max_cliques_equicardinal": flags.max_cliques_equicardinal,
-        }
+    if g.n <= CLASSIFY_CAP:
+        classification = clocked("classify", lambda: classify(g)).to_json()
 
     mp = monomial_map(g)
     ideal = clocked("toric_ideal",

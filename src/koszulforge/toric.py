@@ -80,8 +80,7 @@ class ToricIdeal:
                 raise InputError("toric generator is not a unit binomial")
             if not g.is_homogeneous():
                 raise InputError("toric generator is not homogeneous")
-            (m1, c1), (m2, _) = sorted(g.terms.items(), key=lambda t: t[1])
-            # c1 = -1 on m1, +1 on m2
+            m1, m2 = g.terms
             if self.map.image_of_monomial(m1) != self.map.image_of_monomial(m2):
                 raise InputError("toric generator does not vanish under the map")
 

@@ -1,12 +1,15 @@
 """Command-line surface, report assembly, result cache."""
 
+import argparse
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from koszulforge.cache import ResultCache, cache_key
-from koszulforge.cli import main
+from koszulforge.cli import build_parser, main
 from koszulforge.errors import InputError
 from koszulforge.reports import AnalyzeOptions, analyze, render_text
 
@@ -97,6 +100,16 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("stable-sets", '{"n": 2, "edges": [[1]]}'),
+    ("paper-suite", "--cases", "x"),
+])
+def test_malformed_input_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and not out
+
+
 @pytest.mark.parametrize("damage", [lambda text: text[:20],
                                     lambda text: '{"key": "no value"}'])
 def test_damaged_cache_entry_is_a_miss(capsys, tmp_path, damage):
@@ -122,12 +135,17 @@ def test_damaged_cache_entry_is_a_miss(capsys, tmp_path, damage):
     ("analyze", "cycle(4)", "--var-order", "y_{}"),
     ("groebner", "cycle(4)", "--imax", "2"),
     ("paper-suite", "--marking-cap", "5"),
+    ("paper-suite", "--jobs", "2"),
+    ("groebner", "cycle(4)", "--order", "revlex-nongraded"),
 ])
 def test_unhonoured_flag_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # a removed --order value is an unknown choice, not an unknown flag
+    expected = ("invalid choice" if "revlex-nongraded" in argv
+                else "unrecognized arguments")
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["koszul", "analyze"])
@@ -267,6 +285,43 @@ def test_cache_concurrent_puts(tmp_path):
     assert len(files) == 1
 
 
+def _readme_flag_rows():
+    """(flags, subcommands) for every row of the README's flag table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = []
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        if not line.startswith("| `--") or len(cells) != 2:
+            continue
+        flags = {f: set(re.findall(r"\w+", choices.replace("\\|", " ")))
+                 for f, choices in re.findall(r"(--[a-z-]+)(?: \{([^}]*)\})?",
+                                              cells[0])}
+        rows.append((flags, cells[1]))
+    return rows
+
+
+def test_readme_flag_table_matches_parser():
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    accepted = {}  # flag -> (subcommands accepting it, its choices)
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    cmds, _ = accepted.setdefault(flag, (set(), action.choices))
+                    cmds.add(name)
+    documented = {}
+    for flags, where in _readme_flag_rows():
+        cmds = (set(subparsers.choices) if where == "all"
+                else set(re.findall(r"`([a-z-]+)`", where)))
+        for flag, choices in flags.items():
+            documented[flag] = cmds
+            parser_choices = accepted.get(flag, (None, None))[1]
+            if choices and parser_choices:
+                assert choices == set(parser_choices), flag
+    assert documented == {f: cmds for f, (cmds, _) in accepted.items()}
+
+
 def test_cache_degrades_on_unwritable_dir(capsys):
     cache = ResultCache("/proc/definitely/not/writable")
     assert not cache.enabled
@@ -277,13 +332,3 @@ def test_cache_degrades_on_unwritable_dir(capsys):
 def test_disabled_cache():
     cache = ResultCache(None)
     assert not cache.enabled
-
-
-def test_paper_suite_jobs_flag_matches_sequential(capsys):
-    _, seq, _ = run_cli(capsys, "paper-suite", "--cases", "1,10")
-    _, par, _ = run_cli(capsys, "paper-suite", "--cases", "1,10",
-                        "--jobs", "2")
-    a, b = json.loads(seq), json.loads(par)
-    a.pop("timings")
-    b.pop("timings")
-    assert a == b

@@ -1,8 +1,11 @@
 """Graph construction, transforms, stable sets, classification, enumeration."""
 
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import (Graph, are_isomorphic, classify, complement,
@@ -65,7 +68,11 @@ def test_parse_paper_terms():
 
 def test_parse_errors():
     for bad in ("", "cycle(2)", "paper:cbar(2)", "paper:family(0)",
-                "triangle(3)", "cycle(3) extra", "paper:G9"):
+                "triangle(3)", "cycle(3) extra", "paper:G9",
+                '{"n": 2, "edges": [[1]]}', '{"n": 2, "edges": 5}',
+                '{"n": 2, "edges": [[1, 2.0]]}', '{"n": 2, "edges": [["1", "2"]]}',
+                '{"n": ' + "[" * 100000, "1 \u00b2", "cycle(\u00b3)",
+                "1 " + "9" * 5000):
         with pytest.raises(InputError):
             parse_graph(bad)
 
@@ -78,6 +85,54 @@ def test_parse_json_and_edge_text():
     with pytest.raises(InputError):
         parse_graph('{"n": 2, "edges": [[1, 5]]}')
     assert graph_from_json({"n": 2, "edges": []}).n == 2
+
+
+# small sizes only: every family term builds its whole edge set
+dsl_leaves = st.one_of(
+    st.builds("{}({})".format,
+              st.sampled_from(["cycle", "complete", "path", "paper:cbar",
+                               "paper:family", "triangle"]),
+              st.integers(min_value=-1, max_value=5)),
+    st.sampled_from(["paper:G1", "paper:G5", "paper:G9", "paper:"]))
+dsl_terms = st.recursive(
+    dsl_leaves,
+    lambda inner: st.one_of(
+        st.builds("complement({})".format, inner),
+        st.builds("union({},{})".format, inner, inner)),
+    max_leaves=4)
+# a well-formed term with one character inserted or the tail cut off
+mutated_dsl = st.builds(
+    lambda term, at, ch, cut: (term[:at] + ch + term[at:])[:len(term) + 1 - cut],
+    dsl_terms, st.integers(min_value=0, max_value=40),
+    st.sampled_from(list("(),: 1x")), st.integers(min_value=0, max_value=3))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-2, max_value=6),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=10)
+json_specs = st.one_of(
+    st.fixed_dictionaries({"n": json_values, "edges": json_values}),
+    st.dictionaries(st.sampled_from(["n", "edges", "x"]), json_values),
+).map(json.dumps)
+edge_texts = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "3", "12", "x", "-1",
+                              "\u00b2", "#"]), max_size=3).map(" ".join),
+    min_size=1, max_size=4).map("\n".join)
+graph_specs = st.one_of(st.text(max_size=20), dsl_terms, mutated_dsl,
+                        json_specs, edge_texts)
+
+
+@given(graph_specs)
+@settings(max_examples=400, deadline=None)
+def test_parse_graph_fails_only_with_input_error(spec):
+    try:
+        g = parse_graph(spec)
+    except InputError:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_transforms():

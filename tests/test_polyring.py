@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulforge.errors import InputError
@@ -83,8 +83,8 @@ def test_order_compare_eq_and_errors():
         TermOrder.grevlex(3, ranking=(0, 1))
 
 
-def test_revlex_nongraded_is_not_global():
-    assert not TermOrder.revlex_nongraded(3).is_global
+def test_negative_weight_order_is_not_global():
+    assert not TermOrder.weight((-1, 1)).is_global
     assert TermOrder.grevlex(3).is_global
     assert TermOrder.weight([1, 0, 2]).is_global
 
@@ -165,6 +165,38 @@ def test_parse_polynomial_errors():
         parse_polynomial("a + ?", labels)
     with pytest.raises(InputError):
         parse_polynomial("a -", labels)
+    with pytest.raises(InputError):
+        parse_polynomial("1/0", ("x",))
+    with pytest.raises(InputError):
+        parse_polynomial("a^1/2", labels)
+    for too_long in ("1" * 5000, "a^" + "1" * 5000):  # past int()'s limit
+        with pytest.raises(InputError):
+            parse_polynomial(too_long, labels)
+    # no label, or an empty one, used to match the empty string forever
+    with pytest.raises(InputError):
+        parse_polynomial("x", ())
+    with pytest.raises(InputError):
+        parse_polynomial("x", ("",))
+
+
+POLY_LABELS = ("y_{}", "y_{1,2}", "t")
+polynomial_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(list(POLY_LABELS) + [
+        "0", "1", "12", "/", "/0", "^", "*", "+", "-", "(", ")", " ", "y_{1"]),
+        max_size=12).map("".join))
+
+
+@given(polynomial_texts)
+@example("1/0")
+@example("t^1/2")
+@settings(max_examples=300)
+def test_parse_polynomial_fails_only_with_input_error(text):
+    try:
+        f = parse_polynomial(text, POLY_LABELS)
+    except InputError:
+        return
+    assert f.width == len(POLY_LABELS)
 
 
 def test_polynomial_json_roundtrip():

@@ -8,6 +8,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import koszulforge
 from koszulforge import qgb
@@ -111,6 +113,26 @@ def test_infeasible_subset_is_infeasible():
     assert not res.feasible
     core = [diffs[i] for i in res.infeasible_subset]
     assert feasible_strict(core) is None
+
+
+# marking-shaped systems: nonzero vectors whose coordinates sum to zero
+marking_systems = st.lists(
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=3, max_size=3)
+    .map(lambda d: tuple(d) + (-sum(d),)).filter(any),
+    min_size=1, max_size=7)
+
+
+@given(marking_systems)
+@settings(max_examples=200, deadline=None)
+def test_infeasible_subset_is_irreducible(diffs):
+    res = weight_feasible(diffs)
+    if res.feasible:
+        return
+    core = [diffs[i] for i in res.infeasible_subset]
+    assert feasible_strict(core) is None
+    for k in range(len(core)):
+        rest = core[:k] + core[k + 1:]
+        assert not rest or feasible_strict(rest) is not None
 
 
 def test_paper_inequality_chain_is_infeasible():

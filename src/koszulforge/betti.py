@@ -106,6 +106,11 @@ def _multiply_by_variable(action, layouts, v: int, j: int, vec: dict,
     return out
 
 
+# Most columns one step (i, j) of the resolution may build; each column is a
+# sparse vector, and the kernel elimination holds a pivot row per column.
+BETTI_COLUMN_CAP = 2 ** 16
+
+
 def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
                 characteristic: int = 0,
                 stop_at_first_offdiagonal: bool = False) -> BettiTable:
@@ -113,6 +118,8 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
 
     With ``stop_at_first_offdiagonal`` the computation aborts as soon as a
     nonzero off-diagonal entry appears; entries beyond that point are absent.
+    A step whose map has more than BETTI_COLUMN_CAP columns raises
+    ResourceCapError before any of them is built.
     """
     p = check_characteristic(characteristic)
     if j_max > A.degree_cap:
@@ -153,13 +160,18 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
         new_gens: list[tuple[int, dict]] = []
         aborted = False
         for j in range(min_gen_degree, j_max + 1):
+            owners = layouts[j][1]
+            if len(owners) > BETTI_COLUMN_CAP:
+                raise ResourceCapError(
+                    f"beta_{{{i + 1},{j}}} needs {len(owners)} columns, "
+                    f"over the cap {BETTI_COLUMN_CAP}")
             # column c of the map in degree j is the image u * v_g of the
             # flat coordinate c = (generator g, basis monomial u), computed by
             # one variable step from a lower-degree column
             col_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
             cols = [_image_column(action, prev_layouts, col_cache, g,
                                   *gen_images[g], A.bases[e][b], p)
-                    for g, e, b in layouts[j][1]]
+                    for g, e, b in owners]
             kernel = Eliminator(p).kernel_of_columns(cols)
             kernel_by_degree[j] = kernel
             # minimal generators: kernel modulo variables * (lower kernel)

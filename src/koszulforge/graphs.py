@@ -291,16 +291,25 @@ class StableSetFamily:
     alpha: int
 
 
+# the most stable sets stable_sets lists; cycle(24) has 103682
+STABLE_SET_CAP = 2 ** 18
+
+
 def stable_sets(g: Graph) -> StableSetFamily:
     """All stable sets in canonical order (cardinality, then lexicographic).
 
-    Exponential in n by nature; intended for n up to ~20.
+    Exponential in n by nature; more than STABLE_SET_CAP sets raise
+    ResourceCapError as soon as the listing passes the cap.
     """
     masks = g.adjacency_masks()
     found: list[tuple[int, ...]] = []
 
     def extend(current: tuple[int, ...], blocked: int, start: int) -> None:
         found.append(current)
+        if len(found) > STABLE_SET_CAP:
+            raise ResourceCapError(
+                f"more than {STABLE_SET_CAP} stable sets in a graph on "
+                f"{g.n} vertices")
         for v in range(start, g.n + 1):
             if not (blocked >> (v - 1)) & 1:
                 extend(current + (v,), blocked | masks[v - 1] | (1 << (v - 1)), v + 1)

@@ -403,7 +403,7 @@ class MultiplicationTable:
     bases: tuple[tuple[Monomial, ...], ...]
     index: tuple[dict, ...]
     # action[d][v][i] = sparse {target_index: coeff} for variable v times
-    # the i-th basis monomial of degree d
+    # the i-th basis monomial of degree d; an integral coeff is an int
     action: tuple[tuple[tuple[dict, ...], ...], ...]
 
     @property
@@ -433,10 +433,12 @@ def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTa
                 for mono in bases[d]:
                     prod = mono_mul(mono, unit_mono(width, v))
                     if prod in target:
-                        cols.append({target[prod]: Fraction(1)})
+                        cols.append({target[prod]: 1})
                     else:
                         nf = normal_form(Polynomial.monomial(prod), gb)
-                        cols.append({target[m]: c for m, c in nf.terms.items()})
+                        cols.append({target[m]: c.numerator
+                                     if c.denominator == 1 else c
+                                     for m, c in nf.terms.items()})
                 per_var.append(tuple(cols))
         action.append(tuple(per_var))
     return MultiplicationTable(gb, tuple(bases), tuple(index), tuple(action))

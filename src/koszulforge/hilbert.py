@@ -357,13 +357,13 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
         if dim_here == 0:
             continue
         if deg == top:
-            kernel_vectors = [{i: Fraction(1)} for i in range(dim_here)]
+            kernel_vectors = [{i: 1} for i in range(dim_here)]
         else:
             elim = Eliminator()
             kernel_vectors = []
             target_block = table.dimension(deg + 1)
             for i in range(dim_here):
-                stacked: dict[int, Fraction] = {}
+                stacked: dict[int, Fraction | int] = {}
                 for v in range(width):
                     col = table.action[deg][v][i]
                     for row, c in col.items():
@@ -372,7 +372,11 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
             kernel_vectors = elim.kernel_of_columns(kernel_vectors)
         found = 0
         for vec in kernel_vectors:
-            poly = Polynomial(width, {basis[i]: c for i, c in vec.items()})
+            # a kernel vector comes back primitive; scaled to 1 at its own,
+            # largest, index it is the witness in normal form
+            lead = vec[max(vec)]
+            poly = Polynomial(width, {basis[i]: Fraction(c, lead)
+                                      for i, c in vec.items()})
             if poly:
                 witnesses.append(poly)
                 found += 1

@@ -3,14 +3,17 @@
 The field is named by its characteristic: 0 is Q, whose elements are ints
 and Fractions, and a prime p is GF(p), whose elements are ints in [0, p).
 Vectors are dicts {index: nonzero coefficient}.  The Eliminator keeps a set
-of normalized pivot rows and supports incremental rank queries and kernel
-extraction via augmented columns.
+of pivot rows and supports incremental rank queries and kernel extraction
+via augmented columns.  All its arithmetic is on ints: over Q a pivot row is
+a primitive int row (content 1) with a positive head, and reduction is
+fraction-free (denominators are cleared once on entry, the content divided
+out at the end); over GF(p) a pivot row has head 1 and entries in [0, p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import InputError
 
@@ -74,22 +77,36 @@ class Eliminator:
         return len(self.pivots)
 
     def reduce(self, vec: dict) -> dict:
-        """Eliminate all known pivots from a copy of vec.
+        """Eliminate all known pivots from a copy of vec; over Q the result
+        is the residual up to a nonzero rational factor, a primitive int
+        vector.
 
         Always eliminates the smallest pivot position present; since a pivot
         row only touches positions at or above its own pivot, eliminated
-        positions never reappear and the loop terminates.
+        positions never reappear and the loop terminates.  Against a pivot
+        row with head a, an entry c is cleared as (a/g)*out - (c/g)*row with
+        g = gcd(a, c); over GF(p) every head is 1, so only the subtraction
+        remains.
         """
         p = self.characteristic
-        out = dict(vec)
+        out = dict(vec) if p else _integral(vec)
         piv = self.pivots
         while True:
             common = piv.keys() & out.keys()
             if not common:
-                return out
+                break
             head = min(common)
+            row = piv[head]
             c = out.pop(head)
-            for k, v in piv[head].items():
+            a = row[head]
+            if a != 1:
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                if a != 1:
+                    for k in out:
+                        out[k] *= a
+            for k, v in row.items():
                 if k == head:
                     continue
                 s = out.get(k, 0) - c * v
@@ -99,16 +116,24 @@ class Eliminator:
                     out[k] = s
                 else:
                     out.pop(k, None)
+        if not p and out:
+            g = gcd(*out.values())
+            if g != 1:
+                out = {k: v // g for k, v in out.items()}
+        return out
 
     def _add_pivot(self, head: int, residual: dict) -> None:
-        """Store residual scaled so that its entry at head is 1."""
+        """Store a reduced residual as the pivot row at head: over GF(p)
+        scaled so that its head is 1, over Q as the primitive int row with
+        a positive head."""
         p = self.characteristic
         if p:
             inv = pow(residual[head], -1, p)
             self.pivots[head] = {k: inv * v % p for k, v in residual.items()}
+        elif residual[head] < 0:
+            self.pivots[head] = {k: -v for k, v in residual.items()}
         else:
-            inv = Fraction(1) / residual[head]
-            self.pivots[head] = {k: inv * v for k, v in residual.items()}
+            self.pivots[head] = residual
 
     def insert(self, vec: dict) -> bool:
         """Add a vector to the span; True if it increased the rank."""
@@ -122,7 +147,9 @@ class Eliminator:
         """Kernel of the matrix whose j-th column is columns[j].
 
         Returns coefficient vectors {j: c} with sum_j c * columns[j] = 0,
-        one per kernel dimension.  Requires fresh state.
+        one per kernel dimension; the largest index of the vector found at
+        column j is j itself.  Over Q the vectors are primitive int vectors.
+        Requires fresh state.
         """
         if self.pivots:
             raise ValueError("kernel_of_columns needs a fresh Eliminator")
@@ -138,6 +165,14 @@ class Eliminator:
             else:
                 kernel.append({k - offset: v for k, v in residual.items()})
         return kernel
+
+
+def _integral(vec: dict) -> dict:
+    """vec times the lcm of its denominators, with int entries."""
+    if all(type(v) is int for v in vec.values()):
+        return dict(vec)
+    den = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
 
 
 def columns_rank(columns: list[dict], characteristic: int = 0) -> int:

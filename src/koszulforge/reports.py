@@ -96,8 +96,14 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
                           marking_cap=options.marking_cap,
                           qgb_exists=qgb_exists,
                           reduction=cert.artinian_presentation)
-    verdict = clocked("koszul", lambda: koszul_verdict(ideal, config))
-    if verdict.table is not None and quadratic:
+    try:
+        verdict = clocked("koszul", lambda: koszul_verdict(ideal, config))
+    except ResourceCapError as exc:
+        verdict = None
+        koszul_summary = {"status": None, "skipped": str(exc)}
+    else:
+        koszul_summary = verdict.to_json()
+    if verdict is not None and verdict.table is not None and quadratic:
         stray = [(i, j, v) for (i, j), v in verdict.table.entries.items()
                  if i == 2 and j > 2 and v]
         if stray:
@@ -105,7 +111,7 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
                 f"internal inconsistency: quadratic ideal with beta_2j != 0: {stray}")
 
     koszul_flag = {"KoszulViaQuadraticGB": True,
-                   "NonKoszul": False}.get(verdict.status)
+                   "NonKoszul": False}.get(koszul_summary["status"])
     headline_parts = []
     if koszul_flag is False:
         headline_parts.append("non-Koszul")
@@ -142,7 +148,7 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
             "socle_dimension": cert.socle_dimension,
         },
         "quadratic_gb": qgb_summary,
-        "koszul": verdict.to_json(),
+        "koszul": koszul_summary,
         "headline": headline,
         "meta": {"version": __version__,
                  "characteristic": options.characteristic,
@@ -180,9 +186,14 @@ def render_text(report: dict) -> str:
         lines.append(f"quadratic GB: exists={q['exists']} "
                      f"(markings total={m['total']} feasible={m['feasible']})")
     k = report["koszul"]
-    lines.append(f"koszul: {k['status']}"
-                 + (f" witness beta{tuple(k['witness'])}" if k.get("witness") else "")
-                 + (f" bounds={tuple(k['bounds'])}" if k.get("bounds") else ""))
+    if k["status"] is None:
+        lines.append(f"koszul: skipped ({k['skipped']})")
+    else:
+        lines.append(f"koszul: {k['status']}"
+                     + (f" witness beta{tuple(k['witness'])}"
+                        if k.get("witness") else "")
+                     + (f" bounds={tuple(k['bounds'])}"
+                        if k.get("bounds") else ""))
     lines.append(f"headline: {report['headline']}")
     lines.append(f"timings: {report['timings']}")
     return "\n".join(lines)

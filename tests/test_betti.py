@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
+from koszulforge import betti
 from koszulforge.betti import (BettiTable, KoszulConfig, artinian_reduction,
                                betti_table, graded_basis, koszul_verdict,
                                transfer_check)
-from koszulforge.errors import InputError
+from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import complete, cycle, parse_graph
 from koszulforge.groebner import IdealPresentation
 from koszulforge.hilbert import hilbert_series, poly1_series_coeffs
@@ -143,6 +144,23 @@ def test_betti_bounds_validation():
         betti_table(graded_basis(
             IdealPresentation(("x", "y"), (P(2, ((1, 0), 1), ((0, 1), -1)),)),
             degree_cap=2), 2, 2)
+
+
+def test_betti_column_cap(monkeypatch):
+    # F_1 = A(-1)^7 over the heptagon reduction, dims (1, 7, 14, 7, 1): the
+    # map in degree 2 has 7 * 7 = 49 columns, in degree 3 7 * 14 = 98
+    A = graded_basis(paper_artinian_reduction(3), degree_cap=4)
+    built = []
+    monkeypatch.setattr(betti, "_image_column",
+                        lambda *args: built.append(args) or {})
+    monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 48)
+    with pytest.raises(ResourceCapError, match=r"beta_\{2,2\} needs 49 "):
+        betti_table(A, 3, 4)
+    # degree 1 of the first step, 7 columns, was the only one built
+    assert len(built) == 7
+    monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 49)
+    with pytest.raises(ResourceCapError, match=r"beta_\{2,3\} needs 98 "):
+        betti_table(A, 3, 4)
 
 
 def test_entries_absent_outside_computed_bounds():

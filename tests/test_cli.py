@@ -4,10 +4,12 @@ import argparse
 import json
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from koszulforge import betti
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import build_parser, main
 from koszulforge.errors import InputError
@@ -29,6 +31,15 @@ def test_stable_sets_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 15 and data["alpha"] == 2
+
+
+def test_stable_sets_cap_ends_with_exit_2(capsys):
+    # cycle(60) has about 1.5e12 stable sets; listing stops at the cap
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "stable-sets", "cycle(60)")
+    assert code == 2
+    assert err.startswith("resource cap: ")
+    assert time.perf_counter() - start < 5
 
 
 def test_classify_command(capsys):
@@ -221,6 +232,15 @@ def test_analyze_capped_marking_search_still_reports():
     assert r["koszul"]["status"] == "NonKoszul"
     assert r["koszul"]["witness"] == [3, 4, 1]
     assert "marking search skipped" in r["koszul"]["note"]
+
+
+def test_analyze_capped_resolution_still_reports(monkeypatch):
+    monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 48)
+    r = analyze("complement(cycle(7))", AnalyzeOptions(marking_cap=100))
+    assert r["koszul"]["status"] is None
+    assert "over the cap 48" in r["koszul"]["skipped"]
+    assert r["headline"] == "quadratic Gorenstein"
+    assert "koszul: skipped (" in render_text(r)
 
 
 def test_analyze_renders_text(square_report):

@@ -172,6 +172,25 @@ def test_socle_univariate():
     assert soc.witnesses[0] == P(1, ((2,), 1))
 
 
+def test_socle_witnesses_below_the_top_degree():
+    # the degree-1 witnesses are kernel vectors of the elimination, scaled
+    # to 1 at their largest basis index
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    pres = IdealPresentation(("x", "y", "z"), (
+        P(3, ((2, 0, 0), 1)), P(3, ((1, 1, 0), 1)), P(3, ((0, 3, 0), 1)),
+        P(3, (z, 1))))
+    soc = socle(pres)
+    assert soc.by_degree == ((1, 1), (2, 1))
+    assert soc.witnesses == (P(3, (x, 1)), P(3, ((0, 2, 0), 1)))
+    pres = IdealPresentation(("x", "y", "z"), (
+        P(3, ((2, 0, 0), 1)), P(3, ((1, 1, 0), 1)), P(3, ((0, 2, 0), 1)),
+        P(3, ((0, 0, 3), 1)), P(3, ((1, 0, 1), 1), ((0, 1, 1), -2))))
+    soc = socle(pres)
+    assert soc.by_degree == ((1, 1), (3, 1))
+    assert soc.witnesses == (P(3, (y, 1), (x, Fraction(-1, 2))),
+                             P(3, ((1, 0, 2), 1)))
+
+
 def test_socle_requires_artinian():
     pres = IdealPresentation(("x", "y"), (P(2, ((2, 0), 1)),))
     with pytest.raises(InputError):

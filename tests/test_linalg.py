@@ -4,9 +4,11 @@ the characteristic that names the field."""
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulforge.errors import InputError
 from koszulforge.linalg import (Eliminator, check_characteristic, columns_rank,
@@ -95,6 +97,48 @@ def test_prime_field_elimination_matches_rationals():
         rp = columns_rank([{i: to_field(Fraction(x), p)
                             for i, x in enumerate(r) if x} for r in rows], p)
         assert rq == rp  # entries are tiny, no accidental p-divisibility
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 5 x 5: all ints, or ints and Fractions mixed."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = (st.integers(-2, 2) if draw(st.booleans()) else
+             st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3),
+                                            st.integers(1, 4)))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@given(small_matrices())
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_elimination(rows):
+    m = len(rows)
+    cols = [{i: x for i, x in enumerate(c) if x} for c in zip(*rows)]
+    elim = Eliminator()
+    kernel = elim.kernel_of_columns(cols)
+    rank = dense_rank(rows)
+    assert elim.rank == rank == columns_rank([sparse(r) for r in rows])
+    assert len(kernel) == len(cols) - rank
+    for vec in kernel:
+        assert all(type(v) is int for v in vec.values())
+        combo = [Fraction(0)] * m
+        for j, c in vec.items():
+            for i, x in cols[j].items():
+                combo[i] += c * x
+        assert not any(combo)
+    for head, row in elim.pivots.items():
+        assert head == min(row) and row[head] > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+    if all(type(x) is int for r in rows for x in r):
+        # int entries in [-3, 3] bound every minor of a 5 x 5 matrix by
+        # 48 * 3**5 < 32003 (Hadamard), so no nonzero minor vanishes mod p
+        p = 32003
+        assert columns_rank([{i: x % p for i, x in enumerate(r) if x}
+                             for r in rows], p) == rank
+        gf = Eliminator(p)
+        gf.kernel_of_columns([{i: x % p for i, x in c.items()} for c in cols])
+        assert all(row[head] == 1 for head, row in gf.pivots.items())
 
 
 def test_rational_elimination_never_yields_floats():

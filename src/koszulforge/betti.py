@@ -64,25 +64,22 @@ class BettiTable:
                 "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())]}
 
 
-def _layouts(table: MultiplicationTable, gen_degrees: list[int],
-             j_max: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
-    """Coordinates of the free module with generators in gen_degrees.
+def _layout(table: MultiplicationTable, gen_degrees: list[int],
+            j: int) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Degree-j coordinates of the free module with generators in gen_degrees.
 
     A vector of degree j has one flat coordinate per (generator g, basis
-    monomial b of A in degree e = j - deg(g)).  Entry j holds the offset of
-    each generator's block and the owner (g, e, b) of each flat coordinate.
+    monomial b of A in degree e = j - deg(g)).  Returns the offset of each
+    generator's block and the owner (g, e, b) of each flat coordinate.
     """
-    out = []
-    for j in range(j_max + 1):
-        offsets: list[int] = []
-        owners: list[tuple[int, int, int]] = []
-        for g, d in enumerate(gen_degrees):
-            offsets.append(len(owners))
-            e = j - d
-            if e >= 0:
-                owners.extend((g, e, b) for b in range(table.dimension(e)))
-        out.append((offsets, owners))
-    return out
+    offsets: list[int] = []
+    owners: list[tuple[int, int, int]] = []
+    for g, d in enumerate(gen_degrees):
+        offsets.append(len(owners))
+        e = j - d
+        if e >= 0:
+            owners.extend((g, e, b) for b in range(table.dimension(e)))
+    return offsets, owners
 
 
 def _multiply_by_variable(action, layouts, v: int, j: int, vec: dict,
@@ -150,21 +147,25 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
     gen_images = [(1, action[0][v][0]) for v in range(width)]
     for j in range(j_max + 1):
         entries[(1, j)] = width if j == 1 else 0
-    prev_layouts = _layouts(A, [0], j_max)
+    prev_layouts = [_layout(A, [0], j) for j in range(j_max + 1)]
 
     for i in range(1, i_max):
         # kernel of F_i -> F_{i-1}, degree by degree
-        layouts = _layouts(A, [d for d, _ in gen_images], j_max)
-        min_gen_degree = min((d for d, _ in gen_images), default=j_max + 1)
+        degrees = [d for d, _ in gen_images]
+        min_gen_degree = min(degrees, default=j_max + 1)
+        # layouts[j] exists only once degree j has passed the cap check
+        layouts = [_layout(A, degrees, j) for j in range(min_gen_degree)]
         kernel_by_degree: dict[int, list[dict]] = {}
         new_gens: list[tuple[int, dict]] = []
         aborted = False
         for j in range(min_gen_degree, j_max + 1):
-            owners = layouts[j][1]
-            if len(owners) > BETTI_COLUMN_CAP:
+            columns = sum(A.dimension(j - d) for d in degrees if d <= j)
+            if columns > BETTI_COLUMN_CAP:
                 raise ResourceCapError(
-                    f"beta_{{{i + 1},{j}}} needs {len(owners)} columns, "
+                    f"beta_{{{i + 1},{j}}} needs {columns} columns, "
                     f"over the cap {BETTI_COLUMN_CAP}")
+            layouts.append(_layout(A, degrees, j))
+            owners = layouts[j][1]
             # column c of the map in degree j is the image u * v_g of the
             # flat coordinate c = (generator g, basis monomial u), computed by
             # one variable step from a lower-degree column

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -123,8 +124,16 @@ def _emit(args, payload: dict | list, text: str | None = None) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
-    else:
+        return
+    try:
         print(body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); what is still buffered goes
+        # to the null device, so that the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cache(args) -> ResultCache:

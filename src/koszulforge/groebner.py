@@ -9,6 +9,11 @@ selection key are computed once, when the pair is created, and pending
 pairs wait in a heap; a pair the criteria discard later is skipped when it
 is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
+
+Inside the engine, the division and the monomial minimalization a monomial
+is a packed int (see polyring): the input is packed once and the results
+unpacked once, and the order keys of packed monomials are memoised per
+engine, per table or per call, never across calls.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError, ResourceCapError
-from .polyring import (Monomial, Polynomial, TermOrder, mono_degree, mono_div,
-                       mono_divides, mono_lcm, mono_mul, unit_mono)
+from .polyring import (EXP_MAX, FIELD_BITS, Monomial, Polynomial, TermOrder,
+                       check_packed, guard_mask, mono_degree, pack,
+                       packed_degree, packed_divides, packed_lcm, unpack)
 
 DEFAULT_SPAIR_CAP = 10 ** 6
 
@@ -102,7 +108,15 @@ class MonomialIdeal:
         return all(all(e <= 1 for e in m) for m in self.generators)
 
     def contains(self, m: Monomial) -> bool:
-        return any(mono_divides(g, m) for g in self.generators)
+        return self._contains(pack(m))
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[int, ...]]:
+        return guard_mask(self.width), tuple(map(pack, self.generators))
+
+    def _contains(self, p: int) -> bool:
+        guard, gens = self._packed
+        return any(packed_divides(a, p, guard) for a in gens)
 
     def to_json(self) -> dict:
         return {"width": self.width,
@@ -112,10 +126,24 @@ class MonomialIdeal:
 
 
 def minimal_generators(gens) -> list[Monomial]:
-    """The divisibility-minimal members of a set of monomials, sorted."""
-    gens = sorted(set(gens))
-    return [m for m in gens
-            if not any(g != m and mono_divides(g, m) for g in gens)]
+    """The divisibility-minimal members of a set of monomials, sorted.
+
+    A proper divisor has a lower degree, so in order of degree a monomial is
+    minimal iff no minimal one found before divides it.
+    """
+    gens = sorted(set(gens), key=sum)
+    if not gens:
+        return []
+    guard = guard_mask(len(gens[0]))
+    kept: list[int] = []
+    minimal: list[Monomial] = []
+    for m in gens:
+        p = pack(m)
+        if not any(packed_divides(a, p, guard) for a in kept):
+            kept.append(p)
+            minimal.append(m)
+    minimal.sort()
+    return minimal
 
 
 def monomial_ideal(width: int, gens) -> MonomialIdeal:
@@ -127,30 +155,64 @@ def monomial_ideal(width: int, gens) -> MonomialIdeal:
 # division
 # ---------------------------------------------------------------------------
 
-def _reduce_dict(f: dict[Monomial, Fraction],
-                 reducers: list[tuple[Monomial, Fraction, dict[Monomial, Fraction]]],
-                 key) -> dict[Monomial, Fraction]:
-    """Full normal form of the term dict f against (lm, lc, terms) reducers."""
+class _OrderKeys(dict):
+    """Order keys of packed monomials, each computed on first use."""
+
+    def __init__(self, order: TermOrder):
+        super().__init__()
+        self.order_key = order.key
+        self.width = order.width
+
+    def __missing__(self, p: int):
+        k = self[p] = self.order_key(unpack(p, self.width))
+        return k
+
+
+def _pack_terms(terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
+    return {pack(m): c for m, c in terms.items()}
+
+
+def _unpack_terms(terms: dict[int, Fraction], width: int) -> dict[Monomial, Fraction]:
+    return {unpack(m, width): c for m, c in terms.items()}
+
+
+def _reducers(gb: GroebnerBasis, keys: _OrderKeys) -> list:
+    """The basis as packed (lm, lc, terms) reducers."""
+    out = []
+    for g in gb.elements:
+        terms = _pack_terms(g.terms)
+        lm = max(terms, key=keys.__getitem__)
+        out.append((lm, terms[lm], terms))
+    return out
+
+
+def _reduce_dict(f: dict[int, Fraction], reducers: list[tuple[int, Fraction, dict]],
+                 keys: _OrderKeys, guard: int) -> dict[int, Fraction]:
+    """Full normal form of the packed term dict f against (lm, lc, terms)
+    reducers.
+
+    A product whose exponent overflowed its field is an exact but flagged
+    key: it is only compared until it leads, and is checked then, so every
+    term that is reduced or kept has passed the check.
+    """
+    key = keys.__getitem__
     p = dict(f)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[int, Fraction] = {}
     while p:
-        lm = max(p, key=key)
+        lm = check_packed(max(p, key=key), guard)
         lc = p[lm]
-        hit = None
         for glm, glc, gterms in reducers:
-            if mono_divides(glm, lm):
-                hit = (glm, glc, gterms)
+            if packed_divides(glm, lm, guard):
                 break
-        if hit is None:
+        else:
             remainder[lm] = lc
             del p[lm]
             continue
-        glm, glc, gterms = hit
-        shift = mono_div(lm, glm)
+        shift = lm - glm
         scale = lc / glc
         for m, c in gterms.items():
-            mm = mono_mul(m, shift)
-            s = p.get(mm, Fraction(0)) - scale * c
+            mm = m + shift
+            s = p.get(mm, 0) - scale * c
             if s:
                 p[mm] = s
             else:
@@ -160,11 +222,13 @@ def _reduce_dict(f: dict[Monomial, Fraction],
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by gb; zero iff f lies in the ideal."""
-    if f.width != gb.order.width:
+    width = gb.order.width
+    if f.width != width:
         raise InputError("polynomial and basis live in different rings")
-    reducers = [(*g.leading(gb.order), g.terms) for g in gb.elements]
-    reduced = _reduce_dict(f.terms, reducers, gb.order.key)
-    return Polynomial(f.width, reduced)
+    keys = _OrderKeys(gb.order)
+    reduced = _reduce_dict(_pack_terms(f.terms), _reducers(gb, keys), keys,
+                           guard_mask(width))
+    return Polynomial(width, _unpack_terms(reduced, width))
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +236,26 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class _Engine:
+    """Buchberger state over packed monomials."""
+
     def __init__(self, order: TermOrder, spair_cap: int):
-        self.order = order
-        self.key = order.key
+        self.width = order.width
+        self.guard = guard_mask(order.width)
+        self.keys = _OrderKeys(order)
+        self.key = self.keys.__getitem__
         self.cap = spair_cap
         self.processed = 0
-        self.polys: list[dict[Monomial, Fraction]] = []
-        self.lms: list[Monomial] = []
+        self.polys: list[dict[int, Fraction]] = []
+        self.lms: list[int] = []
         self.lm_keys: list = []
         self.G: set[int] = set()
         # live pairs with the lcm of their leading monomials; the heap holds
         # every pair ever created, and a pair once dropped from B never
         # returns, so popping skips the dead ones
-        self.B: dict[tuple[int, int], Monomial] = {}
+        self.B: dict[tuple[int, int], int] = {}
         self.heap: list = []
 
-    def add_poly(self, terms: dict[Monomial, Fraction]) -> int:
+    def add_poly(self, terms: dict[int, Fraction]) -> int:
         lm = max(terms, key=self.key)
         lc = terms[lm]
         if lc != 1:
@@ -200,41 +268,44 @@ class _Engine:
     def by_leading(self, indices) -> list[int]:
         return sorted(indices, key=self.lm_keys.__getitem__)
 
-    def reduce(self, terms: dict[Monomial, Fraction], against: list[int]):
+    def reduce(self, terms: dict[int, Fraction], against: list[int]):
         one = Fraction(1)
         reducers = [(self.lms[i], one, self.polys[i]) for i in against]
-        return _reduce_dict(terms, reducers, self.key)
+        return _reduce_dict(terms, reducers, self.keys, self.guard)
 
     def update(self, ih: int) -> None:
         """Gebauer-Moeller pair update after adding basis element ih."""
-        lms = self.lms
+        lms, guard = self.lms, self.guard
         mh = lms[ih]
         # lcm(mh, lm_g) for every element so far: pairs in B may involve
         # elements that have already left G
-        lcm_h = [mono_lcm(mh, m) for m in lms]
+        lcm_h = [packed_lcm(mh, m, guard) for m in lms]
         C = set(self.G)
         D: list[int] = []
         E: list[int] = []
         while C:
             ig = C.pop()
             lcm_hg = lcm_h[ig]
-            if mono_mul(mh, lms[ig]) == lcm_hg:
+            if mh + lms[ig] == lcm_hg:
                 D.append(ig)
-            elif (not any(mono_divides(lcm_h[ip], lcm_hg) for ip in C)
-                    and not any(mono_divides(lcm_h[ip], lcm_hg) for ip in D)):
+                continue
+            if (not any(packed_divides(lcm_h[ip], lcm_hg, guard) for ip in C)
+                    and not any(packed_divides(lcm_h[ip], lcm_hg, guard)
+                                for ip in D)):
                 D.append(ig)
                 E.append(ig)
         self.B = {pair: lcm12 for pair, lcm12 in self.B.items()
-                  if not mono_divides(mh, lcm12)
+                  if not packed_divides(mh, lcm12, guard)
                   or lcm_h[pair[0]] == lcm12 or lcm_h[pair[1]] == lcm12}
         for ig in E:
             pair, lcm = (ih, ig), lcm_h[ig]
             self.B[pair] = lcm
-            heapq.heappush(self.heap, (mono_degree(lcm), self.key(lcm), pair))
-        self.G = {ig for ig in self.G if not mono_divides(mh, lms[ig])}
+            heapq.heappush(self.heap, (packed_degree(lcm, self.width),
+                                       self.key(lcm), pair))
+        self.G = {ig for ig in self.G if not packed_divides(mh, lms[ig], guard)}
         self.G.add(ih)
 
-    def pop_pair(self) -> tuple[tuple[int, int], Monomial]:
+    def pop_pair(self) -> tuple[tuple[int, int], int]:
         """The live pair whose lcm is least by (degree, order key, pair)."""
         while True:
             pair = heapq.heappop(self.heap)[2]
@@ -242,15 +313,15 @@ class _Engine:
             if lcm is not None:
                 return pair, lcm
 
-    def spoly(self, i: int, j: int, lcm: Monomial) -> dict[Monomial, Fraction]:
-        mi, mj = self.lms[i], self.lms[j]
-        si, sj = mono_div(lcm, mi), mono_div(lcm, mj)
-        out: dict[Monomial, Fraction] = {}
+    def spoly(self, i: int, j: int, lcm: int) -> dict[int, Fraction]:
+        """The S-polynomial, whose terms _reduce_dict checks as they lead."""
+        si, sj = lcm - self.lms[i], lcm - self.lms[j]
+        out: dict[int, Fraction] = {}
         for m, c in self.polys[i].items():
-            out[mono_mul(m, si)] = c
+            out[m + si] = c
         for m, c in self.polys[j].items():
-            mm = mono_mul(m, sj)
-            s = out.get(mm, Fraction(0)) - c
+            mm = m + sj
+            s = out.get(mm, 0) - c
             if s:
                 out[mm] = s
             else:
@@ -283,12 +354,12 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     # inter-reduce the input before starting; each element is reduced only
     # against already-kept ones, so content is never lost to mutual
     # cancellation, and we iterate to a fixpoint
-    current = [dict(g.terms) for g in pres.generators]
+    current = [_pack_terms(g.terms) for g in pres.generators]
     while True:
-        kept: list[tuple[Monomial, Fraction, dict]] = []
+        kept: list[tuple[int, Fraction, dict]] = []
         changed = False
         for p in current:
-            r = _reduce_dict(p, kept, eng.key)
+            r = _reduce_dict(p, kept, eng.keys, eng.guard)
             if r != p:
                 changed = True
             if r:
@@ -322,10 +393,11 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
 
     # minimalize and tail-reduce into the reduced basis
     chosen = eng.by_leading(eng.G)
+    lms, guard = eng.lms, eng.guard
     minimal = [i for i in chosen
-               if not any(j != i and mono_divides(eng.lms[j], eng.lms[i])
+               if not any(j != i and packed_divides(lms[j], lms[i], guard)
                           for j in chosen)]
-    final: list[Polynomial] = []
+    final: list[tuple[int, dict[int, Fraction]]] = []
     for i in minimal:
         others = [j for j in minimal if j != i]
         r = eng.reduce(eng.polys[i], others)
@@ -333,9 +405,11 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
             raise AssertionError("minimal basis element reduced to zero")
         lm = max(r, key=eng.key)
         lc = r[lm]
-        final.append(Polynomial(pres.width, {m: c / lc for m, c in r.items()}))
-    final.sort(key=lambda g: eng.key(g.leading(order)[0]))
-    return GroebnerBasis(order, tuple(final))
+        final.append((lm, {m: c / lc for m, c in r.items()}))
+    final.sort(key=lambda item: eng.key(item[0]))
+    return GroebnerBasis(order, tuple(
+        Polynomial(pres.width, _unpack_terms(terms, pres.width))
+        for _, terms in final))
 
 
 def is_quadratically_generated(pres: IdealPresentation,
@@ -362,9 +436,10 @@ def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """S-polynomial of two nonzero polynomials (used by property tests)."""
     mf, cf = f.leading(order)
     mg, cg = g.leading(order)
-    lcm = mono_lcm(mf, mg)
-    return (f.mul_term(mono_div(lcm, mf), 1 / cf)
-            - g.mul_term(mono_div(lcm, mg), 1 / cg))
+    pf, pg = pack(mf), pack(mg)
+    lcm = packed_lcm(pf, pg, guard_mask(f.width))
+    return (f.mul_term(unpack(lcm - pf, f.width), 1 / cf)
+            - g.mul_term(unpack(lcm - pg, g.width), 1 / cg))
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
@@ -380,17 +455,17 @@ def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
     """All degree-d monomials outside the ideal, in grevlex order."""
     if degree < 0:
         raise InputError("degree must be >= 0")
+    if degree > EXP_MAX:
+        raise ResourceCapError(
+            f"degree {degree} exceeds the packed field maximum {EXP_MAX}")
     m = ideal.width
-    order = TermOrder.grevlex(m)
+    units = [1 << (FIELD_BITS * v) for v in range(m)]
     out = []
     for combo in itertools.combinations_with_replacement(range(m), degree):
-        mono = [0] * m
-        for v in combo:
-            mono[v] += 1
-        mono = tuple(mono)
-        if not ideal.contains(mono):
-            out.append(mono)
-    out.sort(key=order.key)
+        p = sum(map(units.__getitem__, combo))
+        if not ideal._contains(p):
+            out.append(unpack(p, m))
+    out.sort(key=TermOrder.grevlex(m).key)
     return out
 
 
@@ -423,22 +498,29 @@ def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTa
     ini = initial_ideal(gb)
     bases = [tuple(standard_monomials(ini, d)) for d in range(degree_cap + 1)]
     index = [{m: i for i, m in enumerate(basis)} for basis in bases]
+    # the basis and the reducers packed once for the whole table
+    packed = [[pack(m) for m in basis] for basis in bases]
+    guard = guard_mask(width)
+    keys = _OrderKeys(gb.order)
+    reducers = _reducers(gb, keys)
+    one = Fraction(1)
     action: list[tuple[tuple[dict, ...], ...]] = []
     for d in range(degree_cap + 1):
         per_var: list[tuple[dict, ...]] = []
         if d + 1 <= degree_cap:
-            target = index[d + 1]
+            target = {p: i for i, p in enumerate(packed[d + 1])}
             for v in range(width):
+                unit = 1 << (FIELD_BITS * v)
                 cols = []
-                for mono in bases[d]:
-                    prod = mono_mul(mono, unit_mono(width, v))
+                for mono in packed[d]:
+                    prod = mono + unit
                     if prod in target:
                         cols.append({target[prod]: 1})
                     else:
-                        nf = normal_form(Polynomial.monomial(prod), gb)
+                        nf = _reduce_dict({prod: one}, reducers, keys, guard)
                         cols.append({target[m]: c.numerator
                                      if c.denominator == 1 else c
-                                     for m, c in nf.terms.items()})
+                                     for m, c in nf.items()})
                 per_var.append(tuple(cols))
         action.append(tuple(per_var))
     return MultiplicationTable(gb, tuple(bases), tuple(index), tuple(action))

@@ -533,9 +533,8 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
                 continue
             if not ok:
                 continue
-            nxt_numerator = (hilbert_series(nxt, spair_cap=spair_cap).numerator
-                             if nxt.generators else (1,))
-            deeper = dfs(nxt, nxt_numerator, slot + 1)
+            # a regular form leaves the numerator as it was
+            deeper = dfs(nxt, numerator, slot + 1)
             if deeper is not None:
                 return [cand] + deeper[0], deeper[1]
         return None

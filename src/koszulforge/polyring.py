@@ -2,16 +2,20 @@
 
 Monomials are dense exponent tuples (ring widths here stay below ~40),
 polynomials are mappings from monomials to nonzero rational coefficients.
+The hot loops of the Buchberger engine pack each monomial into one int
+(see "packed monomials" below); tuples stay the public type.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Monomial = tuple[int, ...]
 
@@ -32,24 +36,82 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True if a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """b / a, assuming divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def unit_mono(width: int, index: int, exp: int = 1) -> Monomial:
     m = [0] * width
     m[index] = exp
     return tuple(m)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+#
+# Inside the Buchberger engine and the monomial minimalization a monomial is
+# one int: the exponent of variable i sits in the 16-bit field starting at
+# bit 16 * i, whose top bit is a guard that a valid exponent leaves clear
+# (Bachmann and Schoenemann, "Monomial representations for Groebner bases
+# computations", ISSAC 1998).  With ``guard`` the mask of every guard bit of
+# the ring:
+#
+#   a | b       ((b | guard) - a) & guard == guard   (no field borrows)
+#   a * b       a + b
+#   b / a       b - a                                (when a | b)
+#   lcm(a, b)   a select between the fields of a and b, masked by the same
+#               guard-bit subtraction
+#
+# Two valid fields sum to less than 2 ** 16, so a product never carries into
+# the next field: an exponent past EXP_MAX shows as a set guard bit, and the
+# engine raises ResourceCapError on it before using the monomial again.
+
+EXP_BITS = 15
+FIELD_BITS = EXP_BITS + 1
+EXP_MAX = (1 << EXP_BITS) - 1
+
+
+def guard_mask(width: int) -> int:
+    """The guard bit of every field of a ring of the given width."""
+    return int.from_bytes(b"\x00\x80" * width, "little")
+
+
+def pack(m: Monomial) -> int:
+    """One int for an exponent tuple; an exponent over EXP_MAX is a
+    ResourceCapError, a negative one an InputError."""
+    if m:
+        if max(m) > EXP_MAX:
+            raise ResourceCapError(
+                f"exponent {max(m)} exceeds the packed field maximum {EXP_MAX}")
+        if min(m) < 0:
+            raise InputError(f"negative exponent {min(m)}")
+    return int.from_bytes(array("H", m).tobytes(), sys.byteorder)
+
+
+def unpack(p: int, width: int) -> Monomial:
+    """The exponent tuple of a packed monomial (fields read whole)."""
+    return tuple(memoryview(p.to_bytes(2 * width, sys.byteorder)).cast("H"))
+
+
+def check_packed(p: int, guard: int) -> int:
+    """p itself, or ResourceCapError when an exponent has left its field."""
+    if p & guard:
+        raise ResourceCapError(
+            f"an exponent exceeds the packed field maximum {EXP_MAX}")
+    return p
+
+
+def packed_divides(a: int, b: int, guard: int) -> bool:
+    """True if a | b."""
+    return ((b | guard) - a) & guard == guard
+
+
+def packed_lcm(a: int, b: int, guard: int) -> int:
+    # guard bit of field i set iff a_i >= b_i; the mask fills those fields
+    ge = ((a | guard) - b) & guard
+    mask = ge - (ge >> EXP_BITS)
+    return (a & mask) | (b & ~mask)
+
+
+def packed_degree(p: int, width: int) -> int:
+    return sum(unpack(p, width))
 
 
 # ---------------------------------------------------------------------------

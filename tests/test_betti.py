@@ -153,11 +153,18 @@ def test_betti_column_cap(monkeypatch):
     built = []
     monkeypatch.setattr(betti, "_image_column",
                         lambda *args: built.append(args) or {})
+    laid_out = []
+    layout = betti._layout
+    monkeypatch.setattr(betti, "_layout", lambda table, degrees, j:
+                        laid_out.append((len(degrees), j))
+                        or layout(table, degrees, j))
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 48)
     with pytest.raises(ResourceCapError, match=r"beta_\{2,2\} needs 49 "):
         betti_table(A, 3, 4)
     # degree 1 of the first step, 7 columns, was the only one built
     assert len(built) == 7
+    # and no coordinates were laid out for the step over the cap
+    assert (7, 1) in laid_out and (7, 2) not in laid_out
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 49)
     with pytest.raises(ResourceCapError, match=r"beta_\{2,3\} needs 98 "):
         betti_table(A, 3, 4)

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -25,6 +28,24 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+def test_reader_closing_early_is_quiet():
+    # a payload of about 340 kB, far over a pipe's buffer: the reader stops
+    # after 100 bytes, as ``| head -c 100`` does
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "koszulforge.cli", "stable-sets", "cycle(18)"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert head.startswith(b"{")
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
 
 def test_stable_sets_command(capsys):
     code, out, _ = run_cli(capsys, "stable-sets", "complement(cycle(7))")

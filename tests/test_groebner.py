@@ -2,7 +2,12 @@
 standard monomials, elimination."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +19,13 @@ from koszulforge.groebner import (IdealPresentation, eliminate,
                                   initial_ideal, monomial_ideal,
                                   multiplication_table, normal_form,
                                   reduced_gb, spolynomial, standard_monomials)
-from koszulforge.polyring import Polynomial, TermOrder, mono_divides
+from koszulforge.polyring import Polynomial, TermOrder
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
+
+
+def mono_divides(a, b):
+    """a | b on exponent tuples, independent of the engine's packed form."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def P(width, *terms):
@@ -309,3 +319,50 @@ def test_quadratic_flag_consistent_with_betti_row_two():
     assert not is_quadratically_generated(cubic)
     t2 = betti_table(graded_basis(cubic, degree_cap=4), 2, 4)
     assert t2.get(2, 3) == 1
+
+
+# ---------------------------------------------------------------------------
+# exponents past the packed field
+# ---------------------------------------------------------------------------
+
+OVERFLOW_CASES = textwrap.dedent("""
+    from fractions import Fraction
+    from koszulforge.errors import ResourceCapError
+    from koszulforge.groebner import IdealPresentation, normal_form, reduced_gb
+    from koszulforge.polyring import EXP_MAX, Polynomial, TermOrder
+
+    def P(*terms):
+        return Polynomial(2, {m: Fraction(c) for m, c in terms})
+
+    # lex with y > x: y - x^20000 turns y^2 into x^40000
+    order = TermOrder.lex(2)
+    line = IdealPresentation(("x", "y"), (P(((0, 1), 1), ((20000, 0), -1)),))
+    cases = {
+        "input": lambda: reduced_gb(IdealPresentation(
+            ("x", "y"), (P(((EXP_MAX + 1, 0), 1), ((0, 1), -1)),)), order),
+        "normal_form": lambda: normal_form(P(((0, 2), 1)),
+                                           reduced_gb(line, order)),
+        "buchberger": lambda: reduced_gb(IdealPresentation(
+            ("x", "y"), line.generators + (P(((0, 2), 1), ((1, 0), -1)),)),
+            order),
+    }
+    for name, case in cases.items():
+        try:
+            case()
+        except ResourceCapError:
+            continue
+        raise SystemExit(f"{name}: an exponent overflow went unnoticed")
+""")
+
+
+def test_exponent_overflow_raises():
+    exec(OVERFLOW_CASES, {})
+
+
+def test_exponent_overflow_raises_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", OVERFLOW_CASES],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koszulforge.errors import InputError
-from koszulforge.polyring import (Polynomial, TermOrder, mono_mul, mono_one,
-                                  parse_polynomial, unit_mono)
+from koszulforge.errors import InputError, ResourceCapError
+from koszulforge.polyring import (EXP_MAX, Polynomial, TermOrder, check_packed,
+                                  guard_mask, mono_mul, mono_one, pack,
+                                  packed_degree, packed_divides, packed_lcm,
+                                  parse_polynomial, unit_mono, unpack)
 
 WIDTH = 5
 
@@ -209,3 +211,55 @@ def test_polynomial_json_roundtrip():
 def test_zero_polynomial_renders():
     assert Polynomial.zero(2).to_str(("a", "b")) == "0"
     assert parse_polynomial("0", ("a", "b")).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+field_values = st.one_of(st.integers(0, 3), st.integers(0, EXP_MAX),
+                         st.just(EXP_MAX))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(a, b) of one width in 1..40; half the time b is a multiple of a."""
+    width = draw(st.integers(1, 40))
+    a = tuple(draw(st.lists(field_values, min_size=width, max_size=width)))
+    d = tuple(draw(st.lists(field_values, min_size=width, max_size=width)))
+    if draw(st.booleans()):
+        return a, d
+    return a, tuple(min(EXP_MAX, x + y) for x, y in zip(a, d))
+
+
+@given(monomial_pairs())
+@settings(max_examples=200)
+def test_packed_arithmetic_matches_tuples(pair):
+    a, b = pair
+    width = len(a)
+    guard = guard_mask(width)
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa, width) == a and unpack(pb, width) == b
+    assert packed_degree(pa, width) == sum(a)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert packed_divides(pa, pb, guard) == divides
+    if divides:
+        assert unpack(pb - pa, width) == tuple(y - x for x, y in zip(a, b))
+    assert unpack(packed_lcm(pa, pb, guard), width) == tuple(map(max, a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) <= EXP_MAX:
+        assert unpack(check_packed(pa + pb, guard), width) == product
+    else:
+        # an overflowing field is flagged, and its neighbours are intact
+        assert unpack(pa + pb, width) == product
+        with pytest.raises(ResourceCapError):
+            check_packed(pa + pb, guard)
+
+
+def test_pack_rejects_exponents_outside_a_field():
+    assert unpack(pack((EXP_MAX, 0)), 2) == (EXP_MAX, 0)
+    with pytest.raises(ResourceCapError):
+        pack((0, EXP_MAX + 1))
+    with pytest.raises(InputError):
+        pack((1, -1))
+    assert pack(()) == 0 and unpack(0, 0) == ()

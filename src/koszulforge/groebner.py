@@ -12,14 +12,14 @@ key.  Everything is exact over the rationals and deterministic.
 
 Inside the engine, the division and the monomial minimalization a monomial
 is a packed int (see polyring): the input is packed once and the results
-unpacked once, and the order keys of packed monomials are memoised per
-engine, per table or per call, never across calls.
+unpacked once.  The order keys of packed monomials are memoised per engine,
+and a reduced basis packs its reducers once, with memoised keys of its own,
+for every normal form taken against it.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -84,6 +84,13 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading(self.order)[0] for g in self.elements)
 
+    @cached_property
+    def _packed(self) -> tuple[int, "_OrderKeys", list]:
+        """The guard mask, the memoised order keys and the packed reducers,
+        built on first use and shared by every reduction against the basis."""
+        keys = _OrderKeys(self.order)
+        return guard_mask(self.order.width), keys, _reducers(self, keys)
+
     def to_json(self) -> dict:
         return {"order": self.order.descriptor(),
                 "elements": [g.to_json() for g in self.elements],
@@ -117,6 +124,19 @@ class MonomialIdeal:
     def _contains(self, p: int) -> bool:
         guard, gens = self._packed
         return any(packed_divides(a, p, guard) for a in gens)
+
+    @cached_property
+    def _involving(self) -> tuple[tuple[int, ...], ...]:
+        """The packed generators in which each variable occurs."""
+        gens = self._packed[1]
+        return tuple(tuple(p for g, p in zip(self.generators, gens) if g[v])
+                     for v in range(self.width))
+
+    def _contains_product(self, q: int, v: int) -> bool:
+        """Whether q = p * x_v lies in the ideal, for a p outside it: a
+        generator that divides q but not p involves x_v."""
+        guard = self._packed[0]
+        return any(packed_divides(a, q, guard) for a in self._involving[v])
 
     def to_json(self) -> dict:
         return {"width": self.width,
@@ -225,9 +245,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     width = gb.order.width
     if f.width != width:
         raise InputError("polynomial and basis live in different rings")
-    keys = _OrderKeys(gb.order)
-    reduced = _reduce_dict(_pack_terms(f.terms), _reducers(gb, keys), keys,
-                           guard_mask(width))
+    guard, keys, reducers = gb._packed
+    reduced = _reduce_dict(_pack_terms(f.terms), reducers, keys, guard)
     return Polynomial(width, _unpack_terms(reduced, width))
 
 
@@ -452,21 +471,83 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
-    """All degree-d monomials outside the ideal, in grevlex order."""
+    """All degree-d monomials outside the ideal, in grevlex order.
+
+    A divisor of a standard monomial is standard, so each degree extends the
+    one below by a variable at or after the last one used.
+    """
     if degree < 0:
         raise InputError("degree must be >= 0")
     if degree > EXP_MAX:
         raise ResourceCapError(
             f"degree {degree} exceeds the packed field maximum {EXP_MAX}")
     m = ideal.width
+    if ideal._contains(0):
+        return []
     units = [1 << (FIELD_BITS * v) for v in range(m)]
-    out = []
-    for combo in itertools.combinations_with_replacement(range(m), degree):
-        p = sum(map(units.__getitem__, combo))
-        if not ideal._contains(p):
-            out.append(unpack(p, m))
+    layer = [(0, 0)]  # (standard monomial, the last variable it uses)
+    for _ in range(degree):
+        longer = []
+        for p, last in layer:
+            for v in range(last, m):
+                q = p + units[v]
+                if not ideal._contains_product(q, v):
+                    longer.append((q, v))
+        layer = longer
+    out = [unpack(p, m) for p, _ in layer]
     out.sort(key=TermOrder.grevlex(m).key)
     return out
+
+
+class StandardAction:
+    """The standard-monomial basis of K[Y]/I in each degree and the action of
+    each variable on it, each built on first use.
+
+    ``column(d, v)`` is the action of variable v from degree d to d + 1: its
+    i-th entry is the normal form of v times the i-th basis monomial of
+    degree d, as a sparse {packed monomial: coeff}; an integral coeff is an
+    int.  A product outside the initial ideal is its own normal form, so a
+    column needs no basis of degree d + 1.
+    """
+
+    def __init__(self, gb: GroebnerBasis):
+        self.gb = gb
+        self.width = gb.order.width
+        self.initial = initial_ideal(gb)
+        self._bases: dict[int, tuple[tuple[Monomial, ...], list[int]]] = {}
+        self._columns: dict[tuple[int, int], tuple[dict, ...]] = {}
+
+    def basis(self, d: int) -> tuple[Monomial, ...]:
+        return self._basis(d)[0]
+
+    def _basis(self, d: int) -> tuple[tuple[Monomial, ...], list[int]]:
+        """basis(d) and its packed monomials."""
+        found = self._bases.get(d)
+        if found is None:
+            basis = tuple(standard_monomials(self.initial, d))
+            found = self._bases[d] = (basis, [pack(m) for m in basis])
+        return found
+
+    def column(self, d: int, v: int) -> tuple[dict, ...]:
+        cols = self._columns.get((d, v))
+        if cols is None:
+            cols = self._columns[(d, v)] = self._act(d, v)
+        return cols
+
+    def _act(self, d: int, v: int) -> tuple[dict, ...]:
+        guard, keys, reducers = self.gb._packed
+        unit = 1 << (FIELD_BITS * v)
+        one = Fraction(1)
+        cols = []
+        for mono in self._basis(d)[1]:
+            prod = mono + unit
+            if not self.initial._contains_product(prod, v):
+                cols.append({prod: 1})
+            else:
+                nf = _reduce_dict({prod: one}, reducers, keys, guard)
+                cols.append({m: c.numerator if c.denominator == 1 else c
+                             for m, c in nf.items()})
+        return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -476,7 +557,6 @@ class MultiplicationTable:
 
     gb: GroebnerBasis
     bases: tuple[tuple[Monomial, ...], ...]
-    index: tuple[dict, ...]
     # action[d][v][i] = sparse {target_index: coeff} for variable v times
     # the i-th basis monomial of degree d; an integral coeff is an int
     action: tuple[tuple[tuple[dict, ...], ...], ...]
@@ -494,36 +574,17 @@ class MultiplicationTable:
 
 def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTable:
     """Coordinatize K[Y]/I up to a degree cap via its standard monomials."""
-    width = gb.order.width
-    ini = initial_ideal(gb)
-    bases = [tuple(standard_monomials(ini, d)) for d in range(degree_cap + 1)]
-    index = [{m: i for i, m in enumerate(basis)} for basis in bases]
-    # the basis and the reducers packed once for the whole table
-    packed = [[pack(m) for m in basis] for basis in bases]
-    guard = guard_mask(width)
-    keys = _OrderKeys(gb.order)
-    reducers = _reducers(gb, keys)
-    one = Fraction(1)
+    act = StandardAction(gb)
+    bases = tuple(act.basis(d) for d in range(degree_cap + 1))
     action: list[tuple[tuple[dict, ...], ...]] = []
-    for d in range(degree_cap + 1):
-        per_var: list[tuple[dict, ...]] = []
-        if d + 1 <= degree_cap:
-            target = {p: i for i, p in enumerate(packed[d + 1])}
-            for v in range(width):
-                unit = 1 << (FIELD_BITS * v)
-                cols = []
-                for mono in packed[d]:
-                    prod = mono + unit
-                    if prod in target:
-                        cols.append({target[prod]: 1})
-                    else:
-                        nf = _reduce_dict({prod: one}, reducers, keys, guard)
-                        cols.append({target[m]: c.numerator
-                                     if c.denominator == 1 else c
-                                     for m, c in nf.items()})
-                per_var.append(tuple(cols))
-        action.append(tuple(per_var))
-    return MultiplicationTable(gb, tuple(bases), tuple(index), tuple(action))
+    for d in range(degree_cap):
+        target = {p: i for i, p in enumerate(act._basis(d + 1)[1])}
+        action.append(tuple(
+            tuple({target[m]: c for m, c in col.items()}
+                  for col in act.column(d, v))
+            for v in range(act.width)))
+    action.append(())
+    return MultiplicationTable(gb, bases, tuple(action))
 
 
 # ---------------------------------------------------------------------------

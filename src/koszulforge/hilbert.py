@@ -9,6 +9,17 @@ Regularity of a linear form is certified by the exact factor test
 H_{R/l}(t) = (1 - t) * H_R(t); an artinian reduction by a full linear system
 of parameters exposes the socle, and Gorensteinness is decided by its
 dimension.
+
+A form l is regular on R exactly when multiplication by l is injective in
+every degree (Bruns-Herzog, Cohen-Macaulay Rings, 1.1).  Since
+H_{R/l}(d) = ((1 - t) H_R)(d) + dim ker(l: R_{d-1} -> R_d), a kernel in any
+degree makes the factor test fail.  The search for a linear system
+therefore looks for such a kernel first, in the standard-monomial
+coordinates of the current ring for d = 2 .. ZERO_DIVISOR_DEGREE_CAP, and
+rejects a candidate with a kernel vector, a nonzero f with l * f = 0,
+without building its quotient.  A candidate with no kernel there still
+goes through the factor test, so the forms found are those the factor test
+alone would find.
 """
 
 from __future__ import annotations
@@ -21,8 +32,9 @@ from functools import lru_cache
 
 from .errors import InputError
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, MonomialIdeal,
-                       initial_ideal, minimal_generators, multiplication_table,
-                       reduced_gb, standard_monomials)
+                       StandardAction, initial_ideal, minimal_generators,
+                       multiplication_table, normal_form, reduced_gb,
+                       standard_monomials)
 from .linalg import Eliminator
 from .polyring import Monomial, Polynomial, TermOrder, mono_degree, unit_mono
 from .toric import ToricIdeal
@@ -388,7 +400,6 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
 def is_socle_element(pres: IdealPresentation, f: Polynomial,
                      spair_cap: int = DEFAULT_SPAIR_CAP) -> bool:
     """True iff f is nonzero in the quotient and every variable kills it."""
-    from .groebner import normal_form
     order = TermOrder.grevlex(pres.width)
     gb = reduced_gb(pres, order, spair_cap=spair_cap)
     nf = normal_form(f, gb)
@@ -409,7 +420,6 @@ class GorensteinCertificate:
     verdict: str  # "Gorenstein" | "NotGorenstein" | "Inconclusive"
     reason: str
     linear_system: list[Polynomial] = field(default_factory=list)
-    regularity_checks: list[IntPoly] = field(default_factory=list)
     artinian_presentation: IdealPresentation | None = None
     socle_dimension: int | None = None
     socle_witnesses: tuple[Polynomial, ...] = ()
@@ -505,6 +515,48 @@ def lsop_candidates(labels: tuple[str, ...], seed: int):
                                      for v, c in enumerate(coeffs) if c})
 
 
+# the kernel of l: R_{d-1} -> R_d is looked for in the degrees 2 .. this cap
+ZERO_DIVISOR_DEGREE_CAP = 3
+
+
+def zero_divisor_witness(action: StandardAction, ell: Polynomial,
+                         ) -> Polynomial | None:
+    """A nonzero f in normal form with ell * f = 0 in the ring of ``action``,
+    or None when ell is injective from degree d - 1 to d for every
+    d = 2 .. ZERO_DIVISOR_DEGREE_CAP.
+
+    The map ell: R_{d-1} -> R_d is combined from the action columns of the
+    variables of ell only, and the map into degree d is built only when the
+    one into degree d - 1 has no kernel.  A witness proves that ell is not
+    regular; None proves nothing beyond the cap.
+    """
+    if ell.width != action.width:
+        raise InputError("linear form width mismatch")
+    leading_variable(ell)  # InputError unless ell is a nonzero linear form
+    # integral coefficients as ints, so that integral columns stay int
+    terms = [(m.index(1), c.numerator if c.denominator == 1 else c)
+             for m, c in ell.terms.items()]
+    for d in range(2, ZERO_DIVISOR_DEGREE_CAP + 1):
+        source = action.basis(d - 1)
+        maps = [(c, action.column(d - 1, v)) for v, c in terms]
+        columns = []
+        for i in range(len(source)):
+            col: dict = {}
+            for c, cols in maps:
+                for row, a in cols[i].items():
+                    s = col.get(row, 0) + c * a
+                    if s:
+                        col[row] = s
+                    else:
+                        del col[row]
+            columns.append(col)
+        vec = next(Eliminator().kernel_vectors(columns), None)
+        if vec is not None:
+            return Polynomial(action.width,
+                              {source[i]: c for i, c in vec.items()})
+    return None
+
+
 def find_regular_linear_system(pres: IdealPresentation, length: int,
                                seed: int = DEFAULT_LSOP_SEED,
                                spair_cap: int = DEFAULT_SPAIR_CAP,
@@ -513,8 +565,10 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
 
     Candidates are tried greedily in stream order with backtracking when a
     prefix dead-ends; at most ``LSOP_BUDGET`` regularity tests are spent
-    before reporting failure.  Returns the forms (each in the ring of its own step)
-    and the final quotient presentation, or None.
+    before reporting failure.  A candidate that ``zero_divisor_witness``
+    rejects in the current ring counts as a test but needs no quotient.
+    Returns the forms (each in the ring of its own step) and the final
+    quotient presentation, or None.
     """
     tests = [0]
 
@@ -522,10 +576,14 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
             ) -> tuple[list[Polynomial], IdealPresentation] | None:
         if slot == length:
             return [], current
+        action = StandardAction(reduced_gb(
+            current, TermOrder.grevlex(current.width), spair_cap=spair_cap))
         for cand in lsop_candidates(current.labels, seed + slot):
             if tests[0] >= LSOP_BUDGET:
                 return None
             tests[0] += 1
+            if zero_divisor_witness(action, cand) is not None:
+                continue
             try:
                 nxt, ok = quotient_by_linear_form(
                     current, cand, spair_cap=spair_cap, old_numerator=numerator)

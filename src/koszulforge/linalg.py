@@ -151,10 +151,14 @@ class Eliminator:
         column j is j itself.  Over Q the vectors are primitive int vectors.
         Requires fresh state.
         """
+        return list(self.kernel_vectors(columns))
+
+    def kernel_vectors(self, columns: list[dict]):
+        """The vectors of kernel_of_columns, yielded as they are found, so
+        that a caller can stop at the first one."""
         if self.pivots:
             raise ValueError("kernel_of_columns needs a fresh Eliminator")
         offset = 1 + max((max(c) for c in columns if c), default=0)
-        kernel = []
         for j, col in enumerate(columns):
             aug = dict(col)
             aug[offset + j] = 1
@@ -163,8 +167,7 @@ class Eliminator:
             if head:
                 self._add_pivot(min(head), residual)
             else:
-                kernel.append({k - offset: v for k, v in residual.items()})
-        return kernel
+                yield {k - offset: v for k, v in residual.items()}
 
 
 def _integral(vec: dict) -> dict:

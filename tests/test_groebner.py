@@ -160,6 +160,24 @@ def test_standard_monomials_counts():
     assert len(standard_monomials(empty, 2)) == 6  # C(4,2)
 
 
+@given(width=st.integers(1, 4),
+       gens=st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                     max_size=5),
+       degree=st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_standard_monomials_match_enumeration(width, gens, degree):
+    # every degree-d exponent tuple that no generator divides, in grevlex
+    # order; the unit ideal (a zero generator) leaves none
+    ideal = monomial_ideal(width, [tuple(g[:width]) for g in gens])
+    order = TermOrder.grevlex(width)
+    expected = sorted(
+        (m for m in itertools.product(range(degree + 1), repeat=width)
+         if sum(m) == degree
+         and not any(mono_divides(g, m) for g in ideal.generators)),
+        key=order.key)
+    assert standard_monomials(ideal, degree) == expected
+
+
 def test_eliminate_kernel_of_injection():
     # I = (x - y^2) in K[x, y]: dropping x leaves the zero ideal
     pres = IdealPresentation(("x", "y"),

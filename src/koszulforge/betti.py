@@ -1,12 +1,20 @@
 """Minimal graded free resolution of the residue field over a quotient ring,
 graded Betti numbers, and Koszulness verdicts.
 
-The resolution is built step by step: coordinates come from standard-monomial
-bases per degree, kernels of the maps F_{i+1} -> F_i are computed degree by
-degree with exact sparse elimination, and minimal generators of each kernel
-are the kernel vectors that survive modulo (variables) * (lower kernel).
-Because minimal generators are chosen independent modulo that image, the
-resulting resolution is minimal and the counts are honest Betti numbers.
+The resolution is built step by step, with coordinates from standard-monomial
+bases per degree.  In each degree j the kernel K_j of F_i -> F_{i-1} is
+known in size before any elimination: the resolution is exact, so its image
+is the kernel of the step before (the maximal ideal for i = 1), and
+dim K_j = dim F_{i,j} - dim im_j.  The span S of (variables) * K_{j-1} is
+built first and stops growing once it fills K_j.  A nonzero vector that
+vanishes at the pivots of S lies outside S, so the kernel of the map
+restricted to the other, free coordinates complements S in K_j: exact sparse
+elimination of just those columns gives the minimal generators of degree j,
+and their number is beta_{i+1,j} (new generators that complement
+(variables) * K_{j-1} keep the resolution minimal; Eisenbud, The Geometry of
+Syzygies, ch. 1; Froeberg, "Koszul algebras", 1999).  That number must equal
+dim K_j - rank S, an invariant checked at every (i, j).  S's pivot rows plus
+the new generators are the basis of K_j that the next degree multiplies.
 
 A ring is Koszul iff the table vanishes off the diagonal; a finite table can
 only refute Koszulness (NonKoszul) or report KoszulUpToBound, while the
@@ -143,19 +151,22 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
         [[{row: to_field(c, p) for row, c in col.items()} for col in cols]
          for cols in per_var]
         for per_var in A.action]
-    # F_1 = A(-1)^width with e_v -> y_v; images live in F_0 = A
+    # F_1 = A(-1)^width with e_v -> y_v; images live in F_0 = A, and the
+    # image of F_1 -> F_0 is the maximal ideal
     gen_images = [(1, action[0][v][0]) for v in range(width)]
+    image_dims = [A.dimension(j) if j else 0 for j in range(j_max + 1)]
     for j in range(j_max + 1):
         entries[(1, j)] = width if j == 1 else 0
     prev_layouts = [_layout(A, [0], j) for j in range(j_max + 1)]
 
     for i in range(1, i_max):
-        # kernel of F_i -> F_{i-1}, degree by degree
+        # kernel K of F_i -> F_{i-1}, degree by degree
         degrees = [d for d, _ in gen_images]
         min_gen_degree = min(degrees, default=j_max + 1)
         # layouts[j] exists only once degree j has passed the cap check
         layouts = [_layout(A, degrees, j) for j in range(min_gen_degree)]
-        kernel_by_degree: dict[int, list[dict]] = {}
+        kernel_dims = [0] * (j_max + 1)
+        lower: list[dict] = []  # a basis of K in degree j - 1
         new_gens: list[tuple[int, dict]] = []
         aborted = False
         for j in range(min_gen_degree, j_max + 1):
@@ -166,29 +177,39 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
                     f"over the cap {BETTI_COLUMN_CAP}")
             layouts.append(_layout(A, degrees, j))
             owners = layouts[j][1]
-            # column c of the map in degree j is the image u * v_g of the
-            # flat coordinate c = (generator g, basis monomial u), computed by
-            # one variable step from a lower-degree column
+            # the resolution is exact: the image of F_i -> F_{i-1} in degree
+            # j is the kernel of the step before
+            kernel_dims[j] = columns - image_dims[j]
+            # S = variables * (lower kernel), inserted until it fills K_j
+            span = Eliminator(p)
+            products = (_multiply_by_variable(action, layouts, v, j - 1,
+                                              vec, p)
+                        for vec in lower for v in range(width))
+            for prod in products:
+                if span.rank == kernel_dims[j]:
+                    break
+                if prod:
+                    span.insert(prod)
+            # a vector vanishing at the pivots of S lies outside S, so the
+            # kernel on the other (free) coordinates complements S in K_j:
+            # a basis of the minimal generators of degree j.  Column c of
+            # the map is the image u * v_g of the flat coordinate c =
+            # (generator g, basis monomial u), computed by one variable step
+            # from a lower-degree column
+            free = [c for c in range(columns) if c not in span.pivots]
             col_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
             cols = [_image_column(action, prev_layouts, col_cache, g,
                                   *gen_images[g], A.bases[e][b], p)
-                    for g, e, b in owners]
-            kernel = Eliminator(p).kernel_of_columns(cols)
-            kernel_by_degree[j] = kernel
-            # minimal generators: kernel modulo variables * (lower kernel)
-            span = Eliminator(p)
-            for lower in kernel_by_degree.get(j - 1, ()):
-                for v in range(width):
-                    prod = _multiply_by_variable(action, layouts, v, j - 1,
-                                                 lower, p)
-                    if prod:
-                        span.insert(prod)
-            fresh = 0
-            for vec in kernel:
-                if span.insert(vec):
-                    fresh += 1
-                    new_gens.append((j, vec))
-            entries[(i + 1, j)] = fresh
+                    for g, e, b in (owners[c] for c in free)]
+            fresh = [{free[k]: c for k, c in vec.items()}
+                     for vec in Eliminator(p).kernel_of_columns(cols)]
+            if len(fresh) != kernel_dims[j] - span.rank:
+                raise AssertionError(
+                    f"beta_{{{i + 1},{j}}}: {len(fresh)} new generators, but "
+                    f"exactness leaves {kernel_dims[j] - span.rank}")
+            lower = list(span.pivots.values()) + fresh
+            new_gens.extend((j, vec) for vec in fresh)
+            entries[(i + 1, j)] = len(fresh)
             if stop_at_first_offdiagonal and j != i + 1 and fresh:
                 aborted = True
                 break
@@ -199,6 +220,7 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
             return finished(pruned)
         prev_layouts = layouts
         gen_images = new_gens
+        image_dims = kernel_dims
         if not gen_images:
             for ii in range(i + 2, i_max + 1):
                 for j in range(j_max + 1):

@@ -253,6 +253,16 @@ def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
     return hilbert_data_of_monomial_ideal(initial_ideal(gb))
 
 
+def hilbert_numerator(pres: IdealPresentation,
+                      spair_cap: int = DEFAULT_SPAIR_CAP) -> IntPoly:
+    """The numerator of hilbert_series(pres), read from the initial ideal of
+    the cached grevlex basis without computing the Krull dimension."""
+    if not pres.homogeneous:
+        raise InputError("hilbert_series expects a homogeneous ideal")
+    gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
+    return monomial_numerator(initial_ideal(gb).generators)
+
+
 # ---------------------------------------------------------------------------
 # quotient by a linear form
 # ---------------------------------------------------------------------------
@@ -290,8 +300,8 @@ def quotient_by_linear_form(pres: IdealPresentation, ell: Polynomial,
     new_labels = tuple(pres.labels[v] for v in keep)
     new_pres = IdealPresentation(new_labels, tuple(new_gens))
     if old_numerator is None:
-        old_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
-    new_numerator = hilbert_series(new_pres, spair_cap=spair_cap).numerator \
+        old_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
+    new_numerator = hilbert_numerator(new_pres, spair_cap=spair_cap) \
         if new_gens else (1,)
     return new_pres, new_numerator == old_numerator
 
@@ -304,7 +314,7 @@ def apply_linear_forms(pres: IdealPresentation, forms: list[Polynomial],
     current = pres
     regular: list[bool] = []
     numerators: list[IntPoly] = []
-    numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    numerator = hilbert_numerator(pres, spair_cap=spair_cap)
     original_labels = pres.labels
     for ell in forms:
         if ell.width != len(original_labels):
@@ -322,7 +332,7 @@ def apply_linear_forms(pres: IdealPresentation, forms: list[Polynomial],
                                               spair_cap=spair_cap,
                                               old_numerator=numerator)
         regular.append(ok)
-        numerator = hilbert_series(current, spair_cap=spair_cap).numerator \
+        numerator = hilbert_numerator(current, spair_cap=spair_cap) \
             if current.generators else (1,)
         numerators.append(numerator)
     return current, regular, numerators
@@ -597,7 +607,7 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
                 return [cand] + deeper[0], deeper[1]
         return None
 
-    start_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    start_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
     return dfs(pres, start_numerator, 0)
 
 

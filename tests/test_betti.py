@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulforge import betti
 from koszulforge.betti import (BettiTable, KoszulConfig, artinian_reduction,
@@ -151,8 +153,9 @@ def test_betti_column_cap(monkeypatch):
     # map in degree 2 has 7 * 7 = 49 columns, in degree 3 7 * 14 = 98
     A = graded_basis(paper_artinian_reduction(3), degree_cap=4)
     built = []
+    image_column = betti._image_column
     monkeypatch.setattr(betti, "_image_column",
-                        lambda *args: built.append(args) or {})
+                        lambda *args: built.append(args) or image_column(*args))
     laid_out = []
     layout = betti._layout
     monkeypatch.setattr(betti, "_layout", lambda table, degrees, j:
@@ -168,6 +171,77 @@ def test_betti_column_cap(monkeypatch):
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 49)
     with pytest.raises(ResourceCapError, match=r"beta_\{2,3\} needs 98 "):
         betti_table(A, 3, 4)
+
+
+def grid(i_max, j_max, nonzero_entries):
+    """Every entry (i, j) up to the bounds: the given ones, the rest 0."""
+    return {(i, j): nonzero_entries.get((i, j), 0)
+            for i in range(i_max + 1) for j in range(j_max + 1)}
+
+
+@pytest.fixture(scope="module")
+def workload_reductions():
+    # the artinian reductions of the resolution benchmark
+    return {name: artinian_reduction(closed_form_generators(name, k).presentation)
+            for name, k in (("cbar", 3), ("family", 1))}
+
+
+HEPTAGON_TABLE = {(0, 0): 1, (1, 1): 7, (2, 2): 35, (3, 3): 154, (3, 4): 1,
+                  (4, 4): 637, (4, 5): 15, (5, 5): 2549}
+FAMILY1_TABLE = {(0, 0): 1, (1, 1): 8, (2, 2): 43, (3, 3): 197, (3, 4): 1,
+                 (4, 4): 834, (4, 5): 16}
+
+
+@pytest.mark.parametrize("name, bounds, characteristic, expected", [
+    ("cbar", (5, 5), 0, HEPTAGON_TABLE),
+    ("cbar", (5, 5), 32003, HEPTAGON_TABLE),
+    ("family", (4, 5), 0, FAMILY1_TABLE),
+])
+def test_workload_tables_pinned(workload_reductions, name, bounds,
+                                characteristic, expected):
+    A = graded_basis(workload_reductions[name], degree_cap=bounds[1])
+    table = betti_table(A, *bounds, characteristic=characteristic)
+    assert table.entries == grid(*bounds, expected)
+
+
+def test_exactness_check_rejects_a_wrong_map(monkeypatch):
+    # a zero map leaves every column free, more than exactness allows; the
+    # check is an explicit raise, so it holds under python -O as well
+    monkeypatch.setattr(betti, "_image_column", lambda *args: {})
+    A = graded_basis(paper_artinian_reduction(3), degree_cap=3)
+    with pytest.raises(AssertionError, match=r"beta_\{2,1\}: 7 new "
+                                             r"generators, but exactness "
+                                             r"leaves 0"):
+        betti_table(A, 3, 3)
+
+
+@st.composite
+def quadratic_monomial_ideals(draw):
+    width = draw(st.integers(2, 5))
+    quadrics = [tuple(int(v == a) + int(v == b) for v in range(width))
+                for a in range(width) for b in range(a, width)]
+    chosen = draw(st.lists(st.sampled_from(quadrics), unique=True))
+    labels = tuple(f"x{v}" for v in range(width))
+    return IdealPresentation(labels, tuple(P(width, (m, 1)) for m in chosen))
+
+
+@given(quadratic_monomial_ideals())
+@settings(max_examples=60, deadline=None)
+def test_quadratic_monomial_quotients_are_koszul(pres):
+    # Froeberg: K[x]/I with I generated by quadratic monomials is Koszul, so
+    # the table is diagonal and P_A(t) = sum beta_{i,i} t^i equals 1 / H_A(-t)
+    bound = 4
+    table = betti_table(graded_basis(pres, degree_cap=bound), bound, bound)
+    assert all(v == 0 for (i, j), v in table.entries.items() if i != j)
+    # H_A(-t) = Q(-t) / (1 + t)^m, so 1 / H_A(-t) = (1 + t)^m / Q(-t)
+    q = hilbert_series(pres).numerator
+    q_neg = [c * (-1) ** k for k, c in enumerate(q)] + [0] * bound
+    binomial = [comb(pres.width, k) for k in range(bound + 1)]
+    poincare: list[int] = []
+    for k in range(bound + 1):  # q_neg[0] = 1: divide term by term
+        poincare.append(binomial[k] - sum(q_neg[k - l] * poincare[l]
+                                          for l in range(k)))
+    assert [table.get(i, i) for i in range(bound + 1)] == poincare
 
 
 def test_entries_absent_outside_computed_bounds():

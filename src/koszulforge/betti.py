@@ -18,7 +18,8 @@ the new generators are the basis of K_j that the next degree multiplies.
 
 A ring is Koszul iff the table vanishes off the diagonal; a finite table can
 only refute Koszulness (NonKoszul) or report KoszulUpToBound, while the
-quadratic-Groebner-basis shortcut proves it outright.
+quadratic-Groebner-basis shortcut proves it outright.  koszul_verdict alone
+orders these steps.
 """
 
 from __future__ import annotations
@@ -29,23 +30,22 @@ from math import comb
 from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
-from .hilbert import find_regular_linear_system, hilbert_series
+from .hilbert import DEFAULT_LSOP_SEED, hilbert_series, regular_linear_system
 from .linalg import Eliminator, check_characteristic, to_field
 from .polyring import TermOrder
+from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
 from .toric import ToricIdeal
 
 
-def graded_basis(pres: IdealPresentation, order: TermOrder | None = None,
-                 degree_cap: int = 5,
+def graded_basis(pres: IdealPresentation, degree_cap: int = 5,
                  spair_cap: int = DEFAULT_SPAIR_CAP) -> MultiplicationTable:
     """Standard-monomial bases and variable actions of K[Y]/I up to the
-    degree cap."""
+    degree cap, under grevlex."""
     if not pres.homogeneous:
         raise InputError("graded basis needs a homogeneous ideal")
     if degree_cap < 1:
         raise InputError("degree cap must be >= 1")
-    order = order or TermOrder.grevlex(pres.width)
-    gb = reduced_gb(pres, order, spair_cap=spair_cap)
+    gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
     return multiplication_table(gb, degree_cap)
 
 
@@ -276,21 +276,21 @@ DEFAULT_BETTI_BOUNDS = (4, 5)
 
 @dataclass
 class KoszulConfig:
+    """The bounds and caps of ``koszul_verdict`` and ``reports.analyze``."""
     i_max: int = DEFAULT_BETTI_BOUNDS[0]
     j_max: int = DEFAULT_BETTI_BOUNDS[1]
     characteristic: int = 0
-    use_qgb_shortcut: bool = True
     spair_cap: int = DEFAULT_SPAIR_CAP
-    marking_cap: int = 2 ** 20
-    qgb_exists: bool | None = None  # precomputed decision, if available
-    reduction: IdealPresentation | None = None  # precomputed artinian ring
+    marking_cap: int = DEFAULT_MARKING_CAP
 
 
 def artinian_reduction(pres: IdealPresentation,
                        spair_cap: int = DEFAULT_SPAIR_CAP) -> IdealPresentation | None:
-    """Quotient by a full linear system of parameters, if one is found."""
+    """Quotient by a full linear system of parameters, if one is found: the
+    memoised search that gorenstein_certificate runs with the default seed."""
     hd = hilbert_series(pres, spair_cap=spair_cap)
-    found = find_regular_linear_system(pres, hd.krull_dim, spair_cap=spair_cap)
+    found = regular_linear_system(pres, hd.krull_dim, DEFAULT_LSOP_SEED,
+                                  spair_cap)
     if found is None:
         return None
     return found[1]
@@ -300,8 +300,8 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
                    config: KoszulConfig | None = None) -> KoszulVerdict:
     """Decide Koszulness as far as the configured bounds allow.
 
-    Pipeline: a quadratic Groebner basis (canonical order first, then the
-    exhaustive marking search unless disabled) proves Koszulness; otherwise
+    Pipeline: a quadratic Groebner basis (canonical order first, then, for a
+    toric ideal, the memoised marking search) proves Koszulness; otherwise
     the Betti table of the artinian reduction (or of the ring itself when no
     linear system of parameters is found) is computed up to the bounds,
     refuting Koszulness on the first off-diagonal entry and otherwise
@@ -311,37 +311,28 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
     config = config or KoszulConfig()
     check_characteristic(config.characteristic)
     pres = ideal.presentation if isinstance(ideal, ToricIdeal) else ideal
+    gb = reduced_gb(pres, TermOrder.grevlex(pres.width),
+                    spair_cap=config.spair_cap)
+    if gb.is_quadratic:
+        return KoszulVerdict("KoszulViaQuadraticGB", gb=gb,
+                             characteristic=config.characteristic,
+                             note="canonical grevlex basis is quadratic")
     skipped = ""
-    if config.use_qgb_shortcut:
-        gb = reduced_gb(pres, TermOrder.grevlex(pres.width),
-                        spair_cap=config.spair_cap)
-        if gb.is_quadratic:
-            return KoszulVerdict("KoszulViaQuadraticGB", gb=gb,
-                                 characteristic=config.characteristic,
-                                 note="canonical grevlex basis is quadratic")
-        exists = config.qgb_exists
-        if exists is None and isinstance(ideal, ToricIdeal):
-            from .qgb import decide_quadratic_gb
-            try:
-                decision = decide_quadratic_gb(ideal,
-                                               marking_cap=config.marking_cap,
-                                               spair_cap=config.spair_cap)
-            except ResourceCapError as exc:
-                skipped = f"; marking search skipped ({exc})"
-            else:
-                if decision.exists:
-                    return KoszulVerdict(
-                        "KoszulViaQuadraticGB", gb=decision.quadratic_gb,
-                        characteristic=config.characteristic,
-                        note="marking search found a quadratic basis")
-        elif exists:
-            return KoszulVerdict("KoszulViaQuadraticGB",
-                                 characteristic=config.characteristic,
-                                 note="caller-supplied quadratic-basis decision")
+    if isinstance(ideal, ToricIdeal):
+        try:
+            decision = decide_quadratic_gb(ideal,
+                                           marking_cap=config.marking_cap,
+                                           spair_cap=config.spair_cap)
+        except ResourceCapError as exc:
+            skipped = f"; marking search skipped ({exc})"
+        else:
+            if decision.exists:
+                return KoszulVerdict(
+                    "KoszulViaQuadraticGB", gb=decision.quadratic_gb,
+                    characteristic=config.characteristic,
+                    note="marking search found a quadratic basis")
 
-    reduction = config.reduction
-    if reduction is None:
-        reduction = artinian_reduction(pres, spair_cap=config.spair_cap)
+    reduction = artinian_reduction(pres, spair_cap=config.spair_cap)
     if reduction is not None and reduction.generators:
         target = reduction
         note = "betti table over the artinian reduction"

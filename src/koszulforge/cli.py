@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .betti import KoszulConfig, koszul_verdict
+from .betti import DEFAULT_BETTI_BOUNDS, KoszulConfig, koszul_verdict
 from .cache import ResultCache, cache_key, default_cache_dir
 from .errors import InputError, ResourceCapError
 from .graphs import classify, enumerate_graphs, parse_graph, stable_sets
@@ -22,7 +22,7 @@ from .groebner import DEFAULT_SPAIR_CAP, reduced_gb
 from .hilbert import gorenstein_certificate, hilbert_series
 from .polyring import TermOrder
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
-from .reports import AnalyzeOptions, analyze, render_text
+from .reports import analyze, render_text
 from .toric import ToricIdeal, monomial_map, toric_ideal
 
 
@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--char", type=int, default=0,
                            help="coefficient characteristic for Betti "
                                 "linear algebra")
-            p.add_argument("--imax", type=int, default=4)
-            p.add_argument("--jmax", type=int, default=5)
+            p.add_argument("--imax", type=int, default=DEFAULT_BETTI_BOUNDS[0])
+            p.add_argument("--jmax", type=int, default=DEFAULT_BETTI_BOUNDS[1])
         if "seed" in groups:
             p.add_argument("--seed", type=int, default=0)
 
@@ -152,6 +152,13 @@ def _cached_or(args, payload_key: dict, compute):
     return value
 
 
+def _koszul_config(args) -> KoszulConfig:
+    """The bounds and caps that ``koszul`` and ``analyze`` share."""
+    return KoszulConfig(i_max=args.imax, j_max=args.jmax,
+                        characteristic=args.char, spair_cap=args.spair_cap,
+                        marking_cap=args.marking_cap)
+
+
 def _toric_ideal(args) -> ToricIdeal:
     """The toric ideal of the graph named on the command line."""
     return toric_ideal(monomial_map(parse_graph(args.graph)),
@@ -242,22 +249,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "koszul":
-        ideal = _toric_ideal(args)
-        config = KoszulConfig(i_max=args.imax, j_max=args.jmax,
-                              characteristic=args.char,
-                              spair_cap=args.spair_cap,
-                              marking_cap=args.marking_cap)
-        verdict = koszul_verdict(ideal, config)
+        verdict = koszul_verdict(_toric_ideal(args), _koszul_config(args))
         _emit(args, verdict.to_json(),
               text=f"{verdict.status}"
                    + (f" at {verdict.witness}" if verdict.witness else ""))
         return 0
 
     if cmd == "analyze":
-        options = AnalyzeOptions(characteristic=args.char, i_max=args.imax,
-                                 j_max=args.jmax, marking_cap=args.marking_cap,
-                                 spair_cap=args.spair_cap)
-        report = analyze(args.graph, options)
+        report = analyze(args.graph, _koszul_config(args))
         _emit(args, report, text=render_text(report))
         return 0
 

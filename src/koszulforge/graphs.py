@@ -15,6 +15,12 @@ from .errors import InputError, ResourceCapError
 
 Edge = tuple[int, int]
 
+# the most stable sets stable_sets lists; cycle(24) has 103682
+STABLE_SET_CAP = 2 ** 18
+# the most edges a graph may have; complete(362), with 65341 edges, is the
+# largest complete graph under it
+EDGE_CAP = 2 ** 16
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -24,6 +30,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("graph needs at least one vertex")
+        if self.n > STABLE_SET_CAP:  # the empty set and n singletons
+            raise ResourceCapError(f"a graph on {self.n} vertices has more "
+                                   f"than {STABLE_SET_CAP} stable sets")
         for e in self.edges:
             i, j = e
             if not (1 <= i < j <= self.n):
@@ -74,31 +83,42 @@ def graph(n: int, edges) -> Graph:
 # families and transforms
 # ---------------------------------------------------------------------------
 
+def _check_edges(count: int) -> None:
+    """Refuse a graph with more than EDGE_CAP edges before they are built."""
+    if count > EDGE_CAP:
+        raise ResourceCapError(f"{count} edges exceed the cap {EDGE_CAP}")
+
+
 def complete(n: int) -> Graph:
     if n < 1:
         raise InputError("complete(n) needs n >= 1")
+    _check_edges(n * (n - 1) // 2)
     return graph(n, itertools.combinations(range(1, n + 1), 2))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle(n) needs n >= 3")
+    _check_edges(n)
     return graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InputError("path(n) needs n >= 1")
+    _check_edges(n - 1)
     return graph(n, [(i, i + 1) for i in range(1, n)])
 
 
 def complement(g: Graph) -> Graph:
+    _check_edges(g.n * (g.n - 1) // 2 - len(g.edges))
     return graph(g.n, (e for e in itertools.combinations(range(1, g.n + 1), 2)
                        if e not in g.edges))
 
 
 def union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are relabelled to g.n+1 .. g.n+h.n."""
+    _check_edges(len(g.edges) + len(h.edges))
     shifted = [(i + g.n, j + g.n) for i, j in h.edges]
     return graph(g.n + h.n, list(g.edges) + shifted)
 
@@ -144,6 +164,7 @@ def heptagon_matching_family(k: int) -> Graph:
     if k < 1:
         raise InputError("family graph needs k >= 1")
     n = 2 * k + 7
+    _check_edges(k + 7)
     comp = [(i, i + 1) for i in range(1, 7)] + [(1, 7)]
     comp += [(2 * i + 6, 2 * i + 7) for i in range(1, k + 1)]
     return complement(graph(n, comp))
@@ -157,7 +178,8 @@ def parse_graph(spec: str) -> Graph:
     """Parse a JSON edge list, an edge-list text, or a family DSL term.
 
     DSL terms: cycle(n), complete(n), path(n), complement(g), union(g1,g2),
-    paper:G1..paper:G5, paper:cbar(k), paper:family(k).
+    paper:G1..paper:G5, paper:cbar(k), paper:family(k).  More than
+    STABLE_SET_CAP vertices or EDGE_CAP edges raise ResourceCapError.
     """
     text = spec.strip()
     if not text:
@@ -208,6 +230,7 @@ def graph_from_json(data: dict) -> Graph:
         raise InputError("graph JSON: n must be an integer")
     if not isinstance(data["edges"], list):
         raise InputError("graph JSON: edges must be a list of pairs")
+    _check_edges(len(data["edges"]))
     return graph(n, data["edges"])
 
 
@@ -228,6 +251,7 @@ def _graph_from_edge_text(text: str) -> Graph:
         edges.append((i, j))
     if not edges:
         raise InputError("edge-list text contains no edges")
+    _check_edges(len(edges))
     return graph(top, edges)
 
 
@@ -289,10 +313,6 @@ class StableSetFamily:
     graph: Graph
     sets: tuple[tuple[int, ...], ...]
     alpha: int
-
-
-# the most stable sets stable_sets lists; cycle(24) has 103682
-STABLE_SET_CAP = 2 ** 18
 
 
 def stable_sets(g: Graph) -> StableSetFamily:

@@ -592,21 +592,19 @@ def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTa
 # ---------------------------------------------------------------------------
 
 def eliminate(pres: IdealPresentation, drop: set[int] | list[int] | tuple[int, ...],
-              kept_order: TermOrder | None = None,
               spair_cap: int = DEFAULT_SPAIR_CAP) -> IdealPresentation:
     """Generators of the elimination ideal I inter K[kept variables].
 
-    Uses a block order ranking dropped variables above kept ones; the
-    y-only elements of the reduced basis generate (indeed form a reduced
-    basis of) the intersection.
+    Uses a block order ranking dropped variables above kept ones, ties
+    broken by grevlex; the y-only elements of the reduced basis generate
+    (indeed form a reduced basis of) the intersection.
     """
     drop = set(drop)
     if not all(0 <= v < pres.width for v in drop):
         raise InputError("dropped variable out of range")
     keep = [v for v in range(pres.width) if v not in drop]
-    if kept_order is None:
-        kept_order = TermOrder.grevlex(pres.width)
-    order = TermOrder.block(pres.width, sorted(drop), kept_order)
+    order = TermOrder.block(pres.width, sorted(drop),
+                            TermOrder.grevlex(pres.width))
     gb = reduced_gb(pres, order, spair_cap=spair_cap)
     kept_polys = []
     for g in gb.elements:

@@ -611,6 +611,16 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
     return dfs(pres, start_numerator, 0)
 
 
+@lru_cache(maxsize=64)
+def regular_linear_system(pres: IdealPresentation, length: int, seed: int,
+                          spair_cap: int,
+                          ) -> tuple[tuple[Polynomial, ...], IdealPresentation] | None:
+    """find_regular_linear_system, memoised per process with the forms as a
+    tuple; positional arguments, so that every caller shares one entry."""
+    found = find_regular_linear_system(pres, length, seed, spair_cap)
+    return None if found is None else (tuple(found[0]), found[1])
+
+
 def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
                            seed: int = DEFAULT_LSOP_SEED,
                            spair_cap: int = DEFAULT_SPAIR_CAP,
@@ -631,8 +641,7 @@ def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
         return GorensteinCertificate(
             pres, hd, "NotGorenstein",
             "asymmetric h-vector (fails the necessary symmetry test)")
-    found = find_regular_linear_system(pres, hd.krull_dim, seed=seed,
-                                       spair_cap=spair_cap)
+    found = regular_linear_system(pres, hd.krull_dim, seed, spair_cap)
     if found is None:
         return GorensteinCertificate(
             pres, hd, "Inconclusive",
@@ -647,7 +656,7 @@ def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
               f"{len(forms)} regular linear forms")
     return GorensteinCertificate(
         pres, hd, verdict, reason,
-        linear_system=forms,
+        linear_system=list(forms),
         artinian_presentation=artinian,
         socle_dimension=soc.dimension,
         socle_witnesses=soc.witnesses)

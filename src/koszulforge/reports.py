@@ -4,6 +4,8 @@ A report gathers the stable-set data, the toric ideal, Hilbert data, the
 Gorenstein certificate, the quadratic-Groebner-basis decision and the
 Koszulness verdict into one JSON document (schema koszul-forge/1), with
 timings kept in a separate block so the payload stays deterministic.
+The Koszulness block is the ``koszul`` verdict under the same options; the
+searches it shares with the earlier blocks are process memos, run once.
 """
 
 from __future__ import annotations
@@ -11,28 +13,18 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .betti import KoszulConfig, koszul_verdict
 from .errors import InputError, ResourceCapError
 from .graphs import CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
-from .groebner import DEFAULT_SPAIR_CAP, is_quadratically_generated
+from .groebner import is_quadratically_generated
 from .hilbert import gorenstein_certificate, hilbert_series
 from .linalg import check_characteristic
-from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
+from .qgb import decide_quadratic_gb
 from .toric import monomial_map, toric_ideal
 
 SCHEMA = "koszul-forge/1"
-
-
-@dataclass
-class AnalyzeOptions:
-    characteristic: int = 0
-    i_max: int = 4
-    j_max: int = 5
-    marking_cap: int = DEFAULT_MARKING_CAP
-    spair_cap: int = DEFAULT_SPAIR_CAP
 
 
 def graph_hash(g: Graph) -> str:
@@ -40,9 +32,9 @@ def graph_hash(g: Graph) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
+def analyze(spec: str, options: KoszulConfig | None = None) -> dict:
     """Run the whole pipeline on one graph spec and build the report."""
-    options = options or AnalyzeOptions()
+    options = options or KoszulConfig()
     check_characteristic(options.characteristic)
     timings: dict[str, float] = {}
 
@@ -76,28 +68,19 @@ def analyze(spec: str, options: AnalyzeOptions | None = None) -> dict:
                                                   spair_cap=options.spair_cap))
 
     qgb_summary: dict
-    qgb_exists: bool | None
     try:
         decision = clocked("qgb", lambda: decide_quadratic_gb(
             ideal, marking_cap=options.marking_cap,
             spair_cap=options.spair_cap))
-        qgb_exists = decision.exists
         qgb_summary = decision.to_json()
         qgb_summary.pop("witness", None)
         if decision.exists:
             qgb_summary["witness_weights"] = list(decision.witness_weights)
     except ResourceCapError as exc:
-        qgb_exists = None
         qgb_summary = {"exists": None, "skipped": str(exc)}
 
-    config = KoszulConfig(i_max=options.i_max, j_max=options.j_max,
-                          characteristic=options.characteristic,
-                          spair_cap=options.spair_cap,
-                          marking_cap=options.marking_cap,
-                          qgb_exists=qgb_exists,
-                          reduction=cert.artinian_presentation)
     try:
-        verdict = clocked("koszul", lambda: koszul_verdict(ideal, config))
+        verdict = clocked("koszul", lambda: koszul_verdict(ideal, options))
     except ResourceCapError as exc:
         verdict = None
         koszul_summary = {"status": None, "skipped": str(exc)}

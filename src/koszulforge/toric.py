@@ -18,7 +18,7 @@ from .errors import InputError
 from .graphs import Graph, StableSetFamily, heptagon_matching_family, \
     indicator_vector, odd_cycle_complement, stable_sets
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, eliminate)
-from .polyring import Monomial, Polynomial, TermOrder, mono_one
+from .polyring import Monomial, Polynomial, mono_one
 
 
 def stable_set_label(subset: tuple[int, ...]) -> str:
@@ -106,8 +106,7 @@ def toric_ideal(mp: MonomialMap, spair_cap: int = DEFAULT_SPAIR_CAP) -> ToricIde
         image_exps = mono_one(s) + mp.target_exponents[v]
         gens.append(y - Polynomial.monomial(image_exps))
     big = IdealPresentation(labels, tuple(gens))
-    kept_order = TermOrder.grevlex(width)
-    small = eliminate(big, set(range(s, width)), kept_order, spair_cap=spair_cap)
+    small = eliminate(big, set(range(s, width)), spair_cap=spair_cap)
     return ToricIdeal(mp, small, "elimination")
 
 

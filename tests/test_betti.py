@@ -14,7 +14,8 @@ from koszulforge.betti import (BettiTable, KoszulConfig, artinian_reduction,
                                transfer_check)
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import complete, cycle, parse_graph
-from koszulforge.groebner import IdealPresentation
+from koszulforge.groebner import (IdealPresentation, multiplication_table,
+                                  reduced_gb)
 from koszulforge.hilbert import hilbert_series, poly1_series_coeffs
 from koszulforge.paper_suite import paper_artinian_reduction
 from koszulforge.polyring import Polynomial, TermOrder
@@ -123,9 +124,9 @@ def test_betti_heptagon_witness():
 def test_betti_order_independent():
     art = paper_artinian_reduction(3)
     t1 = betti_table(graded_basis(art, degree_cap=4), 3, 4)
-    t2 = betti_table(graded_basis(
-        art, order=TermOrder.grevlex(7, ranking=(6, 5, 4, 3, 2, 1, 0)),
-        degree_cap=4), 3, 4)
+    reversed_gb = reduced_gb(
+        art, TermOrder.grevlex(7, ranking=(6, 5, 4, 3, 2, 1, 0)))
+    t2 = betti_table(multiplication_table(reversed_gb, 4), 3, 4)
     assert t1.entries == t2.entries
 
 
@@ -318,18 +319,21 @@ def test_koszul_verdict_pentagon():
 
 
 def test_koszul_verdict_heptagon_with_known_decision():
+    # a bare presentation has no fiber classes, so no marking search runs
     ideal = closed_form_generators("cbar", 3)
-    config = KoszulConfig(qgb_exists=False)
-    verdict = koszul_verdict(ideal, config)
+    verdict = koszul_verdict(ideal.presentation)
     assert verdict.status == "NonKoszul"
     assert verdict.witness == (3, 4, 1)
     assert verdict.bounds is not None
 
 
 def test_koszul_verdict_reports_bounds_when_inconclusive():
-    # the dual numbers are Koszul; a bounded table cannot prove it by itself
-    pres = IdealPresentation(("y",), (P(1, ((2,), 1)),))
-    config = KoszulConfig(use_qgb_shortcut=False, i_max=3, j_max=4)
+    # (xy, x^2 + y^2) is a quadratic complete intersection, so Koszul, but
+    # its grevlex basis {xy, x^2 + y^2, x^3} is not quadratic, and a bounded
+    # table cannot prove Koszulness by itself
+    pres = IdealPresentation(("x", "y"), (P(2, ((1, 1), 1)),
+                                          P(2, ((2, 0), 1), ((0, 2), 1))))
+    config = KoszulConfig(i_max=3, j_max=4)
     verdict = koszul_verdict(pres, config)
     assert verdict.status == "KoszulUpToBound"
     assert verdict.bounds == (3, 4)

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from koszulforge import betti
+from koszulforge import betti, hilbert
+from koszulforge.betti import KoszulConfig
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import build_parser, main
 from koszulforge.errors import InputError
-from koszulforge.reports import AnalyzeOptions, analyze, render_text
+from koszulforge.reports import analyze, render_text
 
 
 def run_cli(capsys, *argv):
@@ -190,7 +191,7 @@ def test_bad_characteristic_is_rejected(capsys, command, char):
 
 def test_analyze_rejects_composite_characteristic():
     with pytest.raises(InputError):
-        analyze("cycle(4)", AnalyzeOptions(characteristic=6))
+        analyze("cycle(4)", KoszulConfig(characteristic=6))
 
 
 def test_resource_cap_exit_code(capsys):
@@ -248,16 +249,46 @@ def test_analyze_square(square_report):
 
 
 def test_analyze_capped_marking_search_still_reports():
-    r = analyze("complement(cycle(7))", AnalyzeOptions(marking_cap=100))
+    r = analyze("complement(cycle(7))", KoszulConfig(marking_cap=100))
     assert r["quadratic_gb"]["exists"] is None
     assert r["koszul"]["status"] == "NonKoszul"
     assert r["koszul"]["witness"] == [3, 4, 1]
     assert "marking search skipped" in r["koszul"]["note"]
 
 
+def test_analyze_searches_for_a_linear_system_once(monkeypatch):
+    # the Gorenstein certificate and the Koszul verdict's artinian reduction
+    # share one memoised search
+    calls = [0]
+    search = hilbert.find_regular_linear_system
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "find_regular_linear_system", counted)
+    hilbert.regular_linear_system.cache_clear()
+    r = analyze("complement(cycle(7))", KoszulConfig(marking_cap=100))
+    assert r["koszul"]["status"] == "NonKoszul"
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("spec, options, flags", [
+    ("cycle(5)", KoszulConfig(), ()),
+    ("complement(cycle(7))", KoszulConfig(marking_cap=100),
+     ("--marking-cap", "100")),
+], ids=["marking-search", "betti-table"])
+def test_analyze_koszul_block_equals_the_koszul_command(capsys, spec, options,
+                                                        flags):
+    code, out, _ = run_cli(capsys, "koszul", spec, *flags)
+    assert code == 0
+    block = analyze(spec, options)["koszul"]
+    assert json.loads(json.dumps(block)) == json.loads(out)
+
+
 def test_analyze_capped_resolution_still_reports(monkeypatch):
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 48)
-    r = analyze("complement(cycle(7))", AnalyzeOptions(marking_cap=100))
+    r = analyze("complement(cycle(7))", KoszulConfig(marking_cap=100))
     assert r["koszul"]["status"] is None
     assert "over the cap 48" in r["koszul"]["skipped"]
     assert r["headline"] == "quadratic Gorenstein"

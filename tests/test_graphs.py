@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
-from koszulforge.graphs import (Graph, are_isomorphic, classify, complement,
+from koszulforge.cli import main
+from koszulforge.graphs import (EDGE_CAP, STABLE_SET_CAP, Graph,
+                                are_isomorphic, classify, complement,
                                 complete, cycle, enumerate_graphs, graph,
                                 graph_from_json, induced, is_bipartite,
                                 parse_graph, path, stable_sets, union)
@@ -85,6 +87,32 @@ def test_parse_json_and_edge_text():
     with pytest.raises(InputError):
         parse_graph('{"n": 2, "edges": [[1, 5]]}')
     assert graph_from_json({"n": 2, "edges": []}).n == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("complete(1500)", f"1124250 edges exceed the cap {EDGE_CAP}"),
+    ("complement(path(400))", f"79401 edges exceed the cap {EDGE_CAP}"),
+    ("cycle(300000)", f"300000 edges exceed the cap {EDGE_CAP}"),
+    ('{"n": 300000, "edges": []}',
+     f"300000 vertices has more than {STABLE_SET_CAP} stable sets"),
+    ("1 2\n2 300000", f"300000 vertices has more than {STABLE_SET_CAP}"),
+])
+def test_parse_graph_caps_vertices_and_edges(capsys, spec, message):
+    with pytest.raises(ResourceCapError, match=message):
+        parse_graph(spec)
+    assert main(["stable-sets", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_graph_caps_admit_their_bounds():
+    assert len(complete(362).edges) == 65341 <= EDGE_CAP
+    with pytest.raises(ResourceCapError):
+        complete(363)
+    assert parse_graph(f'{{"n": {STABLE_SET_CAP}, "edges": []}}').n \
+        == STABLE_SET_CAP
+    edges = json.dumps([[1, 2]] * (EDGE_CAP + 1))
+    with pytest.raises(ResourceCapError):
+        parse_graph(f'{{"n": 2, "edges": {edges}}}')
 
 
 # small sizes only: every family term builds its whole edge set

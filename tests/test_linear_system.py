@@ -102,7 +102,17 @@ def test_quotient_count_of_the_ring_certificates_is_pinned(monkeypatch):
     assert calls[0] == 41
 
 
-def test_small_budget_gives_an_inconclusive_certificate(monkeypatch):
+@pytest.fixture
+def fresh_search_memo():
+    """An empty linear-system memo, emptied again afterwards, so that no
+    search under a patched budget leaks into other tests."""
+    hilbert.regular_linear_system.cache_clear()
+    yield
+    hilbert.regular_linear_system.cache_clear()
+
+
+def test_small_budget_gives_an_inconclusive_certificate(monkeypatch,
+                                                       fresh_search_memo):
     monkeypatch.setattr(hilbert, "LSOP_BUDGET", 3)
     pres = toric_presentation("cycle(5)")
     assert find_regular_linear_system(pres, hilbert_series(pres).krull_dim) is None

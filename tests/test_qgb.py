@@ -362,7 +362,7 @@ def test_decision_json_shape():
 def test_positive_decision_backs_koszul_shortcut():
     # an existence decision must come with a basis that passes the S-pair
     # criterion and feeds the Koszulness shortcut
-    from koszulforge.betti import KoszulConfig, koszul_verdict
+    from koszulforge.betti import koszul_verdict
     from koszulforge.groebner import normal_form, spolynomial
     ideal = toric_ideal(monomial_map(cycle(5)))
     decision = decide_quadratic_gb(ideal)
@@ -371,5 +371,5 @@ def test_positive_decision_backs_koszul_shortcut():
         for j in range(i + 1, len(gb.elements)):
             s = spolynomial(gb.elements[i], gb.elements[j], gb.order)
             assert normal_form(s, gb).is_zero()
-    verdict = koszul_verdict(ideal, KoszulConfig(qgb_exists=decision.exists))
+    verdict = koszul_verdict(ideal)
     assert verdict.status == "KoszulViaQuadraticGB"

@@ -30,7 +30,7 @@ from math import comb
 from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
-from .hilbert import DEFAULT_LSOP_SEED, hilbert_series, regular_linear_system
+from .hilbert import hilbert_series, regular_linear_system
 from .linalg import Eliminator, check_characteristic, to_field
 from .polyring import TermOrder
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
@@ -283,14 +283,20 @@ class KoszulConfig:
     spair_cap: int = DEFAULT_SPAIR_CAP
     marking_cap: int = DEFAULT_MARKING_CAP
 
+    def check(self) -> None:
+        """InputError unless the characteristic is 0 or a prime and both
+        Betti bounds are nonnegative: a check to run before any work."""
+        check_characteristic(self.characteristic)
+        if self.i_max < 0 or self.j_max < 0:
+            raise InputError("bounds must be nonnegative")
+
 
 def artinian_reduction(pres: IdealPresentation,
                        spair_cap: int = DEFAULT_SPAIR_CAP) -> IdealPresentation | None:
     """Quotient by a full linear system of parameters, if one is found: the
-    memoised search that gorenstein_certificate runs with the default seed."""
+    memoised search that gorenstein_certificate runs."""
     hd = hilbert_series(pres, spair_cap=spair_cap)
-    found = regular_linear_system(pres, hd.krull_dim, DEFAULT_LSOP_SEED,
-                                  spair_cap)
+    found = regular_linear_system(pres, hd.krull_dim, spair_cap)
     if found is None:
         return None
     return found[1]
@@ -306,10 +312,11 @@ def koszul_verdict(ideal: ToricIdeal | IdealPresentation,
     linear system of parameters is found) is computed up to the bounds,
     refuting Koszulness on the first off-diagonal entry and otherwise
     reporting KoszulUpToBound.  A marking search that hits a resource cap is
-    skipped, and the note says so.  The characteristic is checked first.
+    skipped, and the note says so.  The characteristic and the bounds are
+    checked first.
     """
     config = config or KoszulConfig()
-    check_characteristic(config.characteristic)
+    config.check()
     pres = ideal.presentation if isinstance(ideal, ToricIdeal) else ideal
     gb = reduced_gb(pres, TermOrder.grevlex(pres.width),
                     spair_cap=config.spair_cap)

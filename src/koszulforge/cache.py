@@ -4,7 +4,8 @@ Keys are SHA-256 hashes of canonical JSON of the full inputs (presentation,
 order, operation, bounds), so collisions are impossible by construction and
 intact entries are immutable once written; a damaged entry reads as a miss
 and is rewritten.  Writes are atomic (temp file plus rename); an unwritable
-directory degrades to no caching with a warning.
+directory degrades to no caching with a warning, and a failed write costs
+only the entry, with a warning.
 """
 
 from __future__ import annotations
@@ -57,22 +58,26 @@ class ResultCache:
         return entry
 
     def put(self, key: str, value: dict) -> None:
-        """Store an entry; an intact existing entry is never overwritten."""
+        """Store an entry; an intact existing entry is never overwritten.  A
+        failed write (a full disk, say) only warns: the value stands, and no
+        temp file is left behind."""
         if not self.enabled or self.get(key) is not None:
             return
-        path = self._path(key)
         entry = {"key": key, "created_at": time.time(), "value": value}
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            os.replace(tmp, self._path(key))
+        except OSError as exc:
+            print(f"warning: cache write failed ({exc}); result not cached",
+                  file=sys.stderr)
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def get_value(self, key: str) -> dict | None:
         entry = self.get(key)

@@ -57,15 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "linear algebra")
             p.add_argument("--imax", type=int, default=DEFAULT_BETTI_BOUNDS[0])
             p.add_argument("--jmax", type=int, default=DEFAULT_BETTI_BOUNDS[1])
-        if "seed" in groups:
-            p.add_argument("--seed", type=int, default=0)
 
     for name, groups in (("stable-sets", ()),
                          ("classify", ()),
                          ("toric-ideal", ("ideal",)),
                          ("groebner", ("ideal", "order", "cache")),
                          ("hilbert", ("ideal",)),
-                         ("gorenstein", ("ideal", "seed")),
+                         ("gorenstein", ("ideal",)),
                          ("qgb", ("ideal", "cache", "marking")),
                          ("koszul", ("ideal", "marking", "betti")),
                          ("analyze", ("ideal", "marking", "betti"))):
@@ -231,8 +229,7 @@ def _dispatch(args) -> int:
 
     if cmd == "gorenstein":
         ideal = _toric_ideal(args)
-        cert = gorenstein_certificate(ideal, seed=args.seed,
-                                      spair_cap=args.spair_cap)
+        cert = gorenstein_certificate(ideal, spair_cap=args.spair_cap)
         _emit(args, cert.to_json(), text=f"{cert.verdict}: {cert.reason}")
         return 0
 

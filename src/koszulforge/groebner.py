@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InputError, ResourceCapError
+from .linalg import Eliminator
 from .polyring import (EXP_MAX, FIELD_BITS, Monomial, Polynomial, TermOrder,
                        check_packed, guard_mask, mono_degree, pack,
                        packed_degree, packed_divides, packed_lcm, unpack)
@@ -533,6 +534,32 @@ class StandardAction:
         if cols is None:
             cols = self._columns[(d, v)] = self._act(d, v)
         return cols
+
+    def kernel(self, d: int, forms: list[list[tuple[int, int | Fraction]]]):
+        """The primitive kernel vectors {i: c}, over basis(d), of the linear
+        forms acting jointly from degree d, yielded as they are found.
+
+        Each form is a list of (variable, coeff) pairs.  The i-th column
+        stacks the normal forms of every form times the i-th basis monomial,
+        its rows keyed packed_product * len(forms) + form_index, so that a
+        vector is in the kernel iff every form kills it.
+        """
+        n = len(forms)
+        maps = [(k, c, self.column(d, v))
+                for k, form in enumerate(forms) for v, c in form]
+        columns = []
+        for i in range(len(self.basis(d))):
+            col: dict = {}
+            for k, c, cols in maps:
+                for m, a in cols[i].items():
+                    row = m * n + k
+                    s = col.get(row, 0) + c * a
+                    if s:
+                        col[row] = s
+                    else:
+                        del col[row]
+            columns.append(col)
+        return Eliminator().kernel_vectors(columns)
 
     def _act(self, d: int, v: int) -> tuple[dict, ...]:
         guard, keys, reducers = self.gb._packed

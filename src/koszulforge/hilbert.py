@@ -20,6 +20,11 @@ rejects a candidate with a kernel vector, a nonzero f with l * f = 0,
 without building its quotient.  A candidate with no kernel there still
 goes through the factor test, so the forms found are those the factor test
 alone would find.
+
+The zero-divisor test and the socle read one standard-monomial action
+(groebner.StandardAction): a kernel of one linear form there is a zero
+divisor, and the joint kernel of all the variables of an artinian ring is
+its socle.
 """
 
 from __future__ import annotations
@@ -33,9 +38,7 @@ from functools import lru_cache
 from .errors import InputError
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, MonomialIdeal,
                        StandardAction, initial_ideal, minimal_generators,
-                       multiplication_table, normal_form, reduced_gb,
-                       standard_monomials)
-from .linalg import Eliminator
+                       normal_form, reduced_gb)
 from .polyring import Monomial, Polynomial, TermOrder, mono_degree, unit_mono
 from .toric import ToricIdeal
 
@@ -352,58 +355,29 @@ class SocleData:
 def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleData:
     """Socle of an artinian quotient: everything killed by all variables.
 
-    Computed degree by degree as the joint kernel of the multiplication maps
-    on standard-monomial coordinates.
+    Computed degree by degree as the joint kernel of the variables acting on
+    the standard monomials, the action the zero-divisor test reads too.
     """
-    order = TermOrder.grevlex(pres.width)
-    gb = reduced_gb(pres, order, spair_cap=spair_cap)
-    ini = initial_ideal(gb)
-    if krull_dimension(ini) != 0:
+    action = StandardAction(reduced_gb(pres, TermOrder.grevlex(pres.width),
+                                       spair_cap=spair_cap))
+    if krull_dimension(action.initial) != 0:
         raise InputError("socle is defined here only for artinian quotients")
-    dims = []
-    d = 0
-    while True:
-        count = len(standard_monomials(ini, d))
-        if count == 0:
-            break
-        dims.append(count)
-        d += 1
-    top = len(dims) - 1
-    table = multiplication_table(gb, top + 1)
-    width = pres.width
+    variables = [[(v, 1)] for v in range(pres.width)]
     witnesses: list[Polynomial] = []
     by_degree: list[tuple[int, int]] = []
-    for deg in range(top + 1):
-        basis = table.bases[deg]
-        dim_here = len(basis)
-        if dim_here == 0:
-            continue
-        if deg == top:
-            kernel_vectors = [{i: 1} for i in range(dim_here)]
-        else:
-            elim = Eliminator()
-            kernel_vectors = []
-            target_block = table.dimension(deg + 1)
-            for i in range(dim_here):
-                stacked: dict[int, Fraction | int] = {}
-                for v in range(width):
-                    col = table.action[deg][v][i]
-                    for row, c in col.items():
-                        stacked[v * target_block + row] = c
-                kernel_vectors.append(stacked)
-            kernel_vectors = elim.kernel_of_columns(kernel_vectors)
+    d = 0
+    while basis := action.basis(d):
         found = 0
-        for vec in kernel_vectors:
+        for vec in action.kernel(d, variables):
             # a kernel vector comes back primitive; scaled to 1 at its own,
             # largest, index it is the witness in normal form
             lead = vec[max(vec)]
-            poly = Polynomial(width, {basis[i]: Fraction(c, lead)
-                                      for i, c in vec.items()})
-            if poly:
-                witnesses.append(poly)
-                found += 1
+            witnesses.append(Polynomial(pres.width, {
+                basis[i]: Fraction(c, lead) for i, c in vec.items()}))
+            found += 1
         if found:
-            by_degree.append((deg, found))
+            by_degree.append((d, found))
+        d += 1
     return SocleData(len(witnesses), tuple(witnesses), tuple(by_degree))
 
 
@@ -536,9 +510,10 @@ def zero_divisor_witness(action: StandardAction, ell: Polynomial,
     d = 2 .. ZERO_DIVISOR_DEGREE_CAP.
 
     The map ell: R_{d-1} -> R_d is combined from the action columns of the
-    variables of ell only, and the map into degree d is built only when the
-    one into degree d - 1 has no kernel.  A witness proves that ell is not
-    regular; None proves nothing beyond the cap.
+    variables of ell only (``StandardAction.kernel`` with the one form), and
+    the map into degree d is built only when the one into degree d - 1 has
+    no kernel.  A witness proves that ell is not regular; None proves
+    nothing beyond the cap.
     """
     if ell.width != action.width:
         raise InputError("linear form width mismatch")
@@ -547,33 +522,21 @@ def zero_divisor_witness(action: StandardAction, ell: Polynomial,
     terms = [(m.index(1), c.numerator if c.denominator == 1 else c)
              for m, c in ell.terms.items()]
     for d in range(2, ZERO_DIVISOR_DEGREE_CAP + 1):
-        source = action.basis(d - 1)
-        maps = [(c, action.column(d - 1, v)) for v, c in terms]
-        columns = []
-        for i in range(len(source)):
-            col: dict = {}
-            for c, cols in maps:
-                for row, a in cols[i].items():
-                    s = col.get(row, 0) + c * a
-                    if s:
-                        col[row] = s
-                    else:
-                        del col[row]
-            columns.append(col)
-        vec = next(Eliminator().kernel_vectors(columns), None)
+        vec = next(action.kernel(d - 1, [terms]), None)
         if vec is not None:
+            source = action.basis(d - 1)
             return Polynomial(action.width,
                               {source[i]: c for i, c in vec.items()})
     return None
 
 
 def find_regular_linear_system(pres: IdealPresentation, length: int,
-                               seed: int = DEFAULT_LSOP_SEED,
                                spair_cap: int = DEFAULT_SPAIR_CAP,
                                ) -> tuple[list[Polynomial], IdealPresentation] | None:
     """Depth-first search for ``length`` successively regular linear forms.
 
-    Candidates are tried greedily in stream order with backtracking when a
+    Candidates are tried greedily in stream order, slot k drawing its random
+    ones from the seed DEFAULT_LSOP_SEED + k, with backtracking when a
     prefix dead-ends; at most ``LSOP_BUDGET`` regularity tests are spent
     before reporting failure.  A candidate that ``zero_divisor_witness``
     rejects in the current ring counts as a test but needs no quotient.
@@ -588,7 +551,7 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
             return [], current
         action = StandardAction(reduced_gb(
             current, TermOrder.grevlex(current.width), spair_cap=spair_cap))
-        for cand in lsop_candidates(current.labels, seed + slot):
+        for cand in lsop_candidates(current.labels, DEFAULT_LSOP_SEED + slot):
             if tests[0] >= LSOP_BUDGET:
                 return None
             tests[0] += 1
@@ -612,17 +575,16 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
 
 
 @lru_cache(maxsize=64)
-def regular_linear_system(pres: IdealPresentation, length: int, seed: int,
+def regular_linear_system(pres: IdealPresentation, length: int,
                           spair_cap: int,
                           ) -> tuple[tuple[Polynomial, ...], IdealPresentation] | None:
     """find_regular_linear_system, memoised per process with the forms as a
     tuple; positional arguments, so that every caller shares one entry."""
-    found = find_regular_linear_system(pres, length, seed, spair_cap)
+    found = find_regular_linear_system(pres, length, spair_cap)
     return None if found is None else (tuple(found[0]), found[1])
 
 
 def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
-                           seed: int = DEFAULT_LSOP_SEED,
                            spair_cap: int = DEFAULT_SPAIR_CAP,
                            socle_even_if_asymmetric: bool = False,
                            ) -> GorensteinCertificate:
@@ -641,16 +603,13 @@ def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
         return GorensteinCertificate(
             pres, hd, "NotGorenstein",
             "asymmetric h-vector (fails the necessary symmetry test)")
-    found = regular_linear_system(pres, hd.krull_dim, seed, spair_cap)
+    found = regular_linear_system(pres, hd.krull_dim, spair_cap)
     if found is None:
         return GorensteinCertificate(
             pres, hd, "Inconclusive",
             "no linear system of parameters found within the attempt budget")
     forms, artinian = found
-    if artinian.generators:
-        soc = socle(artinian, spair_cap=spair_cap)
-    else:
-        soc = SocleData(1, (Polynomial.constant(artinian.width, 1),), ((0, 1),))
+    soc = socle(artinian, spair_cap=spair_cap)
     verdict = "Gorenstein" if soc.dimension == 1 else "NotGorenstein"
     reason = (f"socle dimension {soc.dimension} after reduction by "
               f"{len(forms)} regular linear forms")

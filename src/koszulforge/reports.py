@@ -20,7 +20,6 @@ from .errors import InputError, ResourceCapError
 from .graphs import CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
 from .groebner import is_quadratically_generated
 from .hilbert import gorenstein_certificate, hilbert_series
-from .linalg import check_characteristic
 from .qgb import decide_quadratic_gb
 from .toric import monomial_map, toric_ideal
 
@@ -35,7 +34,7 @@ def graph_hash(g: Graph) -> str:
 def analyze(spec: str, options: KoszulConfig | None = None) -> dict:
     """Run the whole pipeline on one graph spec and build the report."""
     options = options or KoszulConfig()
-    check_characteristic(options.characteristic)
+    options.check()
     timings: dict[str, float] = {}
 
     def clocked(name, fn):

@@ -1,6 +1,7 @@
 """Command-line surface, report assembly, result cache."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -12,12 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from koszulforge import betti, hilbert
+from koszulforge import betti, hilbert, reports
 from koszulforge.betti import KoszulConfig
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import build_parser, main
 from koszulforge.errors import InputError
+from koszulforge.graphs import parse_graph
 from koszulforge.reports import analyze, render_text
+from koszulforge.toric import monomial_map, toric_ideal
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +112,16 @@ def test_gorenstein_command(capsys):
     assert data["verdict"] == "Gorenstein"
 
 
+@pytest.mark.parametrize("spec", ["paper:G2", "cycle(6)"])
+def test_gorenstein_command_prints_the_library_certificate(capsys, spec):
+    # the command searches its linear system with the library's one seed;
+    # on these two rings another seed finds another system
+    code, out, _ = run_cli(capsys, "gorenstein", spec)
+    assert code == 0
+    ideal = toric_ideal(monomial_map(parse_graph(spec)))
+    assert json.loads(out) == hilbert.gorenstein_certificate(ideal).to_json()
+
+
 def test_qgb_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "qgb", "cycle(5)",
                            "--cache-dir", str(tmp_path))
@@ -169,6 +182,7 @@ def test_damaged_cache_entry_is_a_miss(capsys, tmp_path, damage):
     ("groebner", "cycle(4)", "--imax", "2"),
     ("paper-suite", "--marking-cap", "5"),
     ("paper-suite", "--jobs", "2"),
+    ("gorenstein", "paper:G2", "--seed", "1"),
     ("groebner", "cycle(4)", "--order", "revlex-nongraded"),
 ])
 def test_unhonoured_flag_is_rejected(capsys, argv):
@@ -187,6 +201,23 @@ def test_bad_characteristic_is_rejected(capsys, command, char):
     code, out, err = run_cli(capsys, command, "cycle(4)", "--char", char)
     assert code == 1
     assert "characteristic" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("koszul", "cycle(4)", "--imax", "-5", "--jmax", "-3"),
+    ("koszul", "complement(cycle(7))", "--imax", "-1"),
+    ("analyze", "cycle(4)", "--jmax", "-1"),
+])
+def test_negative_betti_bound_is_rejected_before_any_work(capsys, monkeypatch,
+                                                          argv):
+    def search(*args, **kwargs):
+        pytest.fail("the marking search ran before the bounds were checked")
+
+    monkeypatch.setattr(betti, "decide_quadratic_gb", search)
+    monkeypatch.setattr(reports, "decide_quadratic_gb", search)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "bounds must be nonnegative" in err and not out
 
 
 def test_analyze_rejects_composite_characteristic():
@@ -392,6 +423,23 @@ def test_readme_flag_table_matches_parser():
             if choices and parser_choices:
                 assert choices == set(parser_choices), flag
     assert documented == {f: cmds for f, (cmds, _) in accepted.items()}
+
+
+@pytest.mark.parametrize("target", ["os.replace", "tempfile.mkstemp"])
+def test_failed_cache_write_keeps_the_result(capsys, monkeypatch, tmp_path,
+                                             target):
+    code, want, _ = run_cli(capsys, "groebner", "cycle(4)", "--no-cache")
+    assert code == 0
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(target, full)
+    code, out, err = run_cli(capsys, "groebner", "cycle(4)",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0 and out == want
+    assert "warning: cache write failed" in err
+    assert list(tmp_path.iterdir()) == []  # no entry, no temp file
 
 
 def test_cache_degrades_on_unwritable_dir(capsys):

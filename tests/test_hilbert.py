@@ -5,11 +5,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulforge.errors import InputError
 from koszulforge.graphs import complete, parse_graph
 from koszulforge.groebner import IdealPresentation, monomial_ideal
-from koszulforge.hilbert import (apply_linear_forms,
+from koszulforge.hilbert import (SocleData, apply_linear_forms,
                                  gorenstein_certificate, hilbert_series,
                                  is_socle_element, krull_dimension,
                                  monomial_numerator, poly1_div_one_minus_t,
@@ -189,6 +191,49 @@ def test_socle_witnesses_below_the_top_degree():
     assert soc.by_degree == ((1, 1), (3, 1))
     assert soc.witnesses == (P(3, (y, 1), (x, Fraction(-1, 2))),
                              P(3, ((1, 0, 2), 1)))
+
+
+def test_socle_of_the_field():
+    # K = K[]/(0): the constant 1 spans the socle, in degree 0
+    assert socle(IdealPresentation((), ())) == SocleData(
+        1, (Polynomial.constant(0, 1),), ((0, 1),))
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    """Pure powers x_v^a, a in 1..4, for every variable, and a few random
+    monomials of positive degree."""
+    width = draw(st.integers(2, 4))
+    powers = [draw(st.integers(1, 4)) for _ in range(width)]
+    gens = [tuple(a if u == v else 0 for u in range(width))
+            for v, a in enumerate(powers)]
+    exponents = st.tuples(*[st.integers(0, 3)] * width).filter(any)
+    gens += draw(st.lists(exponents, max_size=4))
+    return width, powers, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_monomial_ideals())
+def test_socle_of_a_monomial_quotient(data):
+    # the socle of K[x]/I for a monomial ideal I is spanned by the standard
+    # monomials m with x_v * m in I for every v
+    width, powers, gens = data
+    ideal = monomial_ideal(width, gens)
+    standard = [m for m in itertools.product(*(range(a) for a in powers))
+                if not ideal.contains(m)]
+    in_socle = [m for m in standard
+                if all(ideal.contains(tuple(e + (u == v) for u, e in
+                                            enumerate(m)))
+                       for v in range(width))]
+    degrees = sorted({sum(m) for m in in_socle})
+    pres = IdealPresentation(tuple(f"x{v}" for v in range(width)),
+                             tuple(P(width, (g, 1)) for g in ideal.generators))
+    soc = socle(pres)
+    assert soc.dimension == len(in_socle)
+    assert soc.by_degree == tuple(
+        (d, sum(sum(m) == d for m in in_socle)) for d in degrees)
+    assert all(is_socle_element(pres, w) for w in soc.witnesses)
+    assert set(soc.witnesses) == {P(width, (m, 1)) for m in in_socle}
 
 
 def test_socle_requires_artinian():

@@ -1,8 +1,14 @@
 """Minimal graded free resolution of the residue field over a quotient ring,
 graded Betti numbers, and Koszulness verdicts.
 
-The resolution is built step by step, with coordinates from standard-monomial
-bases per degree.  In each degree j the kernel K_j of F_i -> F_{i-1} is
+The resolution is built step by step in the coordinates of
+groebner.StandardAction: a degree-e element of A = K[Y]/I is a sparse
+{position in basis(e): coeff}.  A free module F_i with n generators, g of
+degree d_g, has in degree j the coordinate b * n + g for generator g times
+the b-th basis monomial of degree j - d_g; g fixes that degree, so no two
+pairs (g, b) share a coordinate, and (b, g) = divmod(coordinate, n).
+
+In each degree j the kernel K_j of F_i -> F_{i-1} is
 known in size before any elimination: the resolution is exact, so its image
 is the kernel of the step before (the maximal ideal for i = 1), and
 dim K_j = dim F_{i,j} - dim im_j.  The span S of (variables) * K_{j-1} is
@@ -72,35 +78,15 @@ class BettiTable:
                 "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())]}
 
 
-def _layout(table: MultiplicationTable, gen_degrees: list[int],
-            j: int) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Degree-j coordinates of the free module with generators in gen_degrees.
-
-    A vector of degree j has one flat coordinate per (generator g, basis
-    monomial b of A in degree e = j - deg(g)).  Returns the offset of each
-    generator's block and the owner (g, e, b) of each flat coordinate.
-    """
-    offsets: list[int] = []
-    owners: list[tuple[int, int, int]] = []
-    for g, d in enumerate(gen_degrees):
-        offsets.append(len(owners))
-        e = j - d
-        if e >= 0:
-            owners.extend((g, e, b) for b in range(table.dimension(e)))
-    return offsets, owners
-
-
-def _multiply_by_variable(action, layouts, v: int, j: int, vec: dict,
-                          p: int) -> dict:
+def _multiply_by_variable(action, degrees: list[int], v: int, j: int,
+                          vec: dict, p: int) -> dict:
     """Module action of variable v on a degree-j vector of the free module."""
-    owners = layouts[j][1]
-    dst = layouts[j + 1][0]
+    n = len(degrees)
     out: dict[int, object] = {}
-    for flat, c in vec.items():
-        g, e, b = owners[flat]
-        doff = dst[g]
-        for row, coeff in action[e][v][b].items():
-            k = doff + row
+    for key, c in vec.items():
+        b, g = divmod(key, n)
+        for row, coeff in action[j - degrees[g]][v][b].items():
+            k = row * n + g
             s = out.get(k, 0) + c * coeff
             if p:
                 s %= p
@@ -114,6 +100,21 @@ def _multiply_by_variable(action, layouts, v: int, j: int, vec: dict,
 # Most columns one step (i, j) of the resolution may build; each column is a
 # sparse vector, and the kernel elimination holds a pivot row per column.
 BETTI_COLUMN_CAP = 2 ** 16
+# Most entries (i_max + 1) * (j_max + 1) a table may hold; each is stored,
+# zeros too, and printed.
+BETTI_ENTRY_CAP = 2 ** 16
+
+
+def check_bounds(i_max: int, j_max: int) -> None:
+    """InputError unless both Betti bounds are nonnegative; ResourceCapError
+    if the table they span holds more than BETTI_ENTRY_CAP entries."""
+    if i_max < 0 or j_max < 0:
+        raise InputError("bounds must be nonnegative")
+    entries = (i_max + 1) * (j_max + 1)
+    if entries > BETTI_ENTRY_CAP:
+        raise ResourceCapError(
+            f"Betti bounds ({i_max}, {j_max}) span {entries} entries, "
+            f"over the cap {BETTI_ENTRY_CAP}")
 
 
 def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
@@ -123,15 +124,15 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
 
     With ``stop_at_first_offdiagonal`` the computation aborts as soon as a
     nonzero off-diagonal entry appears; entries beyond that point are absent.
-    A step whose map has more than BETTI_COLUMN_CAP columns raises
-    ResourceCapError before any of them is built.
+    Bounds spanning more than BETTI_ENTRY_CAP entries, or a step whose map
+    has more than BETTI_COLUMN_CAP columns, raise ResourceCapError before
+    any of that work is done.
     """
     p = check_characteristic(characteristic)
+    check_bounds(i_max, j_max)
     if j_max > A.degree_cap:
         raise InputError("j_max exceeds the graded basis degree cap")
-    if i_max < 0 or j_max < 0:
-        raise InputError("bounds must be nonnegative")
-    width = A.gb.order.width
+    width = A.action.width
     # A is graded, so a generator of degree <= 1 shows as a missing variable
     if A.dimension(1) < width:
         raise InputError("presentation has generators of degree <= 1; "
@@ -146,43 +147,42 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
     if i_max == 0:
         return finished(entries)
 
-    # the variable actions in the field's own elements, mapped once
-    action = A.action if not p else [
-        [[{row: to_field(c, p) for row, c in col.items()} for col in cols]
-         for cols in per_var]
-        for per_var in A.action]
+    # action[e][v]: variable v from degree e < j_max, in the field's elements
+    def in_field(cols):
+        return cols if not p else tuple(
+            {row: to_field(c, p) for row, c in col.items()} for col in cols)
+    action = [[in_field(A.action.column(e, v)) for v in range(width)]
+              for e in range(max(j_max, 1))]
+    dims = [A.dimension(e) for e in range(j_max + 1)]
     # F_1 = A(-1)^width with e_v -> y_v; images live in F_0 = A, and the
     # image of F_1 -> F_0 is the maximal ideal
     gen_images = [(1, action[0][v][0]) for v in range(width)]
-    image_dims = [A.dimension(j) if j else 0 for j in range(j_max + 1)]
+    image_dims = [dims[j] if j else 0 for j in range(j_max + 1)]
     for j in range(j_max + 1):
         entries[(1, j)] = width if j == 1 else 0
-    prev_layouts = [_layout(A, [0], j) for j in range(j_max + 1)]
+    prev_degrees = [0]
 
     for i in range(1, i_max):
         # kernel K of F_i -> F_{i-1}, degree by degree
         degrees = [d for d, _ in gen_images]
+        n = len(degrees)
         min_gen_degree = min(degrees, default=j_max + 1)
-        # layouts[j] exists only once degree j has passed the cap check
-        layouts = [_layout(A, degrees, j) for j in range(min_gen_degree)]
         kernel_dims = [0] * (j_max + 1)
         lower: list[dict] = []  # a basis of K in degree j - 1
         new_gens: list[tuple[int, dict]] = []
         aborted = False
         for j in range(min_gen_degree, j_max + 1):
-            columns = sum(A.dimension(j - d) for d in degrees if d <= j)
+            columns = sum(dims[j - d] for d in degrees if d <= j)
             if columns > BETTI_COLUMN_CAP:
                 raise ResourceCapError(
                     f"beta_{{{i + 1},{j}}} needs {columns} columns, "
                     f"over the cap {BETTI_COLUMN_CAP}")
-            layouts.append(_layout(A, degrees, j))
-            owners = layouts[j][1]
             # the resolution is exact: the image of F_i -> F_{i-1} in degree
             # j is the kernel of the step before
             kernel_dims[j] = columns - image_dims[j]
             # S = variables * (lower kernel), inserted until it fills K_j
             span = Eliminator(p)
-            products = (_multiply_by_variable(action, layouts, v, j - 1,
+            products = (_multiply_by_variable(action, degrees, v, j - 1,
                                               vec, p)
                         for vec in lower for v in range(width))
             for prod in products:
@@ -192,15 +192,17 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
                     span.insert(prod)
             # a vector vanishing at the pivots of S lies outside S, so the
             # kernel on the other (free) coordinates complements S in K_j:
-            # a basis of the minimal generators of degree j.  Column c of
-            # the map is the image u * v_g of the flat coordinate c =
-            # (generator g, basis monomial u), computed by one variable step
-            # from a lower-degree column
-            free = [c for c in range(columns) if c not in span.pivots]
+            # a basis of the minimal generators of degree j.  The column of
+            # coordinate (g, b) is the image u * v_g, u = A_{j - deg g}[b],
+            # computed by one variable step from a lower-degree column
+            coords = (b * n + g for g, d in enumerate(degrees) if d <= j
+                      for b in range(dims[j - d]))
+            free = [c for c in coords if c not in span.pivots]
             col_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
-            cols = [_image_column(action, prev_layouts, col_cache, g,
-                                  *gen_images[g], A.bases[e][b], p)
-                    for g, e, b in (owners[c] for c in free)]
+            cols = [_image_column(action, prev_degrees, col_cache, g,
+                                  *gen_images[g],
+                                  A.action.basis(j - degrees[g])[b], p)
+                    for b, g in (divmod(c, n) for c in free)]
             fresh = [{free[k]: c for k, c in vec.items()}
                      for vec in Eliminator(p).kernel_of_columns(cols)]
             if len(fresh) != kernel_dims[j] - span.rank:
@@ -218,7 +220,7 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
         if aborted:
             pruned = {k: v for k, v in entries.items() if k[0] <= i + 1}
             return finished(pruned)
-        prev_layouts = layouts
+        prev_degrees = degrees
         gen_images = new_gens
         image_dims = kernel_dims
         if not gen_images:
@@ -229,8 +231,8 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
     return finished(entries)
 
 
-def _image_column(action, layouts, cache: dict, g: int, d_g: int, img: dict,
-                  mono, p: int) -> dict:
+def _image_column(action, degrees: list[int], cache: dict, g: int, d_g: int,
+                  img: dict, mono, p: int) -> dict:
     """img * mono in F_{i-1}, built one variable at a time with caching."""
     if not any(mono):
         return img
@@ -242,8 +244,8 @@ def _image_column(action, layouts, cache: dict, g: int, d_g: int, img: dict,
     smaller = list(mono)
     smaller[v] -= 1
     smaller = tuple(smaller)
-    base = _image_column(action, layouts, cache, g, d_g, img, smaller, p)
-    out = _multiply_by_variable(action, layouts, v, d_g + sum(smaller), base, p)
+    base = _image_column(action, degrees, cache, g, d_g, img, smaller, p)
+    out = _multiply_by_variable(action, degrees, v, d_g + sum(smaller), base, p)
     cache[key] = out
     return out
 
@@ -284,11 +286,10 @@ class KoszulConfig:
     marking_cap: int = DEFAULT_MARKING_CAP
 
     def check(self) -> None:
-        """InputError unless the characteristic is 0 or a prime and both
-        Betti bounds are nonnegative: a check to run before any work."""
+        """check_characteristic, then check_bounds: a check to run before
+        any work."""
         check_characteristic(self.characteristic)
-        if self.i_max < 0 or self.j_max < 0:
-            raise InputError("bounds must be nonnegative")
+        check_bounds(self.i_max, self.j_max)
 
 
 def artinian_reduction(pres: IdealPresentation,

@@ -540,18 +540,18 @@ def _wl_classes(n: int, masks: list[int]) -> list[list[int]]:
 def _canonical_bits(n: int, masks: list[int]) -> int:
     """Lexicographically minimal adjacency bitstring over colour-respecting
     vertex orderings (sound: isomorphic graphs share WL colour signatures)."""
-    classes = _wl_classes(n, masks)
-    best: int | None = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        order = [v for part in perm_parts for v in part]
-        bits = 0
+    def bits(order: list[int]) -> int:
+        out = 0
         for a in range(n):
             for b in range(a + 1, n):
-                bits = (bits << 1) | ((masks[order[a]] >> order[b]) & 1)
-        if best is None or bits < best:
-            best = bits
-    assert best is not None
-    return best
+                out = (out << 1) | ((masks[order[a]] >> order[b]) & 1)
+        return out
+
+    # the product is never empty: each class has at least one ordering
+    classes = _wl_classes(n, masks)
+    return min(bits([v for part in parts for v in part])
+               for parts in itertools.product(
+                   *(itertools.permutations(c) for c in classes)))
 
 
 def _graph_from_bits(n: int, bits: int) -> Graph:

@@ -502,31 +502,31 @@ def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
 
 class StandardAction:
     """The standard-monomial basis of K[Y]/I in each degree and the action of
-    each variable on it, each built on first use.
+    each variable on it, each built on first use: the one coordinate system
+    of the quotient ring.
 
     ``column(d, v)`` is the action of variable v from degree d to d + 1: its
-    i-th entry is the normal form of v times the i-th basis monomial of
-    degree d, as a sparse {packed monomial: coeff}; an integral coeff is an
-    int.  A product outside the initial ideal is its own normal form, so a
-    column needs no basis of degree d + 1.
+    i-th entry is the normal form of v times ``basis(d)[i]``, as a sparse
+    {position in basis(d + 1): coeff}; an integral coeff is an int.
     """
 
     def __init__(self, gb: GroebnerBasis):
         self.gb = gb
         self.width = gb.order.width
         self.initial = initial_ideal(gb)
-        self._bases: dict[int, tuple[tuple[Monomial, ...], list[int]]] = {}
+        self._bases: dict[int, tuple[tuple[Monomial, ...], dict[int, int]]] = {}
         self._columns: dict[tuple[int, int], tuple[dict, ...]] = {}
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         return self._basis(d)[0]
 
-    def _basis(self, d: int) -> tuple[tuple[Monomial, ...], list[int]]:
-        """basis(d) and its packed monomials."""
+    def _basis(self, d: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
+        """basis(d) and the position of each of its packed monomials."""
         found = self._bases.get(d)
         if found is None:
             basis = tuple(standard_monomials(self.initial, d))
-            found = self._bases[d] = (basis, [pack(m) for m in basis])
+            found = self._bases[d] = (
+                basis, {pack(m): i for i, m in enumerate(basis)})
         return found
 
     def column(self, d: int, v: int) -> tuple[dict, ...]:
@@ -541,8 +541,8 @@ class StandardAction:
 
         Each form is a list of (variable, coeff) pairs.  The i-th column
         stacks the normal forms of every form times the i-th basis monomial,
-        its rows keyed packed_product * len(forms) + form_index, so that a
-        vector is in the kernel iff every form kills it.
+        its rows keyed position * len(forms) + form_index, so that a vector
+        is in the kernel iff every form kills it.
         """
         n = len(forms)
         maps = [(k, c, self.column(d, v))
@@ -551,8 +551,8 @@ class StandardAction:
         for i in range(len(self.basis(d))):
             col: dict = {}
             for k, c, cols in maps:
-                for m, a in cols[i].items():
-                    row = m * n + k
+                for b, a in cols[i].items():
+                    row = b * n + k
                     s = col.get(row, 0) + c * a
                     if s:
                         col[row] = s
@@ -565,53 +565,38 @@ class StandardAction:
         guard, keys, reducers = self.gb._packed
         unit = 1 << (FIELD_BITS * v)
         one = Fraction(1)
+        target = self._basis(d + 1)[1]
         cols = []
         for mono in self._basis(d)[1]:
             prod = mono + unit
             if not self.initial._contains_product(prod, v):
-                cols.append({prod: 1})
+                # a product outside the initial ideal is its own normal form
+                cols.append({target[prod]: 1})
             else:
                 nf = _reduce_dict({prod: one}, reducers, keys, guard)
-                cols.append({m: c.numerator if c.denominator == 1 else c
+                cols.append({target[m]: c.numerator if c.denominator == 1 else c
                              for m, c in nf.items()})
         return tuple(cols)
 
 
 @dataclass(frozen=True)
 class MultiplicationTable:
-    """Per-degree standard-monomial bases of a quotient ring together with
-    the action of each variable in normal-form coordinates."""
+    """K[Y]/I in standard-monomial coordinates up to a degree cap: a view of
+    a StandardAction, whose bases and columns callers read below the cap."""
 
-    gb: GroebnerBasis
-    bases: tuple[tuple[Monomial, ...], ...]
-    # action[d][v][i] = sparse {target_index: coeff} for variable v times
-    # the i-th basis monomial of degree d; an integral coeff is an int
-    action: tuple[tuple[tuple[dict, ...], ...], ...]
-
-    @property
-    def degree_cap(self) -> int:
-        return len(self.bases) - 1
+    action: StandardAction
+    degree_cap: int
 
     def dimension(self, d: int) -> int:
-        return len(self.bases[d])
+        return len(self.action.basis(d))
 
     def dimensions(self) -> tuple[int, ...]:
-        return tuple(len(basis) for basis in self.bases)
+        return tuple(self.dimension(d) for d in range(self.degree_cap + 1))
 
 
 def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTable:
     """Coordinatize K[Y]/I up to a degree cap via its standard monomials."""
-    act = StandardAction(gb)
-    bases = tuple(act.basis(d) for d in range(degree_cap + 1))
-    action: list[tuple[tuple[dict, ...], ...]] = []
-    for d in range(degree_cap):
-        target = {p: i for i, p in enumerate(act._basis(d + 1)[1])}
-        action.append(tuple(
-            tuple({target[m]: c for m, c in col.items()}
-                  for col in act.column(d, v))
-            for v in range(act.width)))
-    action.append(())
-    return MultiplicationTable(gb, bases, tuple(action))
+    return MultiplicationTable(StandardAction(gb), degree_cap)
 
 
 # ---------------------------------------------------------------------------

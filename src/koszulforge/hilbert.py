@@ -261,7 +261,7 @@ def hilbert_numerator(pres: IdealPresentation,
     """The numerator of hilbert_series(pres), read from the initial ideal of
     the cached grevlex basis without computing the Krull dimension."""
     if not pres.homogeneous:
-        raise InputError("hilbert_series expects a homogeneous ideal")
+        raise InputError("hilbert_numerator expects a homogeneous ideal")
     gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
     return monomial_numerator(initial_ideal(gb).generators)
 

@@ -30,7 +30,7 @@ from math import prod
 from .errors import InputError, ResourceCapError
 from .exactlp import feasible_strict, nonnegative_shift
 from .groebner import DEFAULT_SPAIR_CAP, GroebnerBasis, reduced_gb
-from .hilbert import hilbert_series, monomial_numerator
+from .hilbert import hilbert_numerator, monomial_numerator
 from .polyring import Monomial, TermOrder
 from .toric import FiberClasses, ToricIdeal, fiber_classes
 
@@ -184,7 +184,7 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
         raise ResourceCapError(
             f"marking space {total} exceeds the cap {marking_cap}; "
             "raise --marking-cap to search anyway")
-    target_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    target_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
 
     feasible_count = 0
     tested = 0
@@ -267,7 +267,7 @@ def series_test_for_marking(ideal: ToricIdeal, marking: Marking,
                             spair_cap: int = DEFAULT_SPAIR_CAP) -> bool:
     """The Hilbert-series half of the cross-check: does the non-minimal
     monomial ideal match the toric ring's series?"""
-    target = hilbert_series(ideal.presentation, spair_cap=spair_cap).numerator
+    target = hilbert_numerator(ideal.presentation, spair_cap=spair_cap)
     return monomial_numerator(marking.nonminimal_members()) == target
 
 

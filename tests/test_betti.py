@@ -18,7 +18,7 @@ from koszulforge.groebner import (IdealPresentation, multiplication_table,
                                   reduced_gb)
 from koszulforge.hilbert import hilbert_series, poly1_series_coeffs
 from koszulforge.paper_suite import paper_artinian_reduction
-from koszulforge.polyring import Polynomial, TermOrder
+from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
@@ -139,6 +139,24 @@ def test_betti_characteristic_agreement():
     assert t0.characteristic == 0 and tp.characteristic == 32003
 
 
+def test_betti_characteristic_agreement_with_fraction_coefficients():
+    # the grevlex basis of this ideal has the coefficients 1/3, 3/7 and
+    # -1/7, so some action columns hold Fractions, which GF(p) reads through
+    # to_field; reading only their numerators gives beta_{2,3} = 1
+    labels = ("x", "y", "z")
+    pres = IdealPresentation(labels, tuple(
+        parse_polynomial(g, labels)
+        for g in ("y^2 - 2*x*z - x^2", "3*y^2 + x*z", "3*x*y + x^2")))
+    A = graded_basis(pres, degree_cap=4)
+    assert any(type(c) is Fraction for d in range(4) for v in range(3)
+               for col in A.action.column(d, v) for c in col.values())
+    t0 = betti_table(A, 4, 4)
+    tp = betti_table(A, 4, 4, characteristic=32003)
+    assert t0.entries == tp.entries
+    assert nonzero(t0) == {(0, 0): 1, (1, 1): 3, (2, 2): 6, (3, 3): 11,
+                           (4, 4): 19}
+
+
 def test_betti_bounds_validation():
     A = graded_basis(IdealPresentation(("x",), ()), degree_cap=2)
     with pytest.raises(InputError):
@@ -157,21 +175,30 @@ def test_betti_column_cap(monkeypatch):
     image_column = betti._image_column
     monkeypatch.setattr(betti, "_image_column",
                         lambda *args: built.append(args) or image_column(*args))
-    laid_out = []
-    layout = betti._layout
-    monkeypatch.setattr(betti, "_layout", lambda table, degrees, j:
-                        laid_out.append((len(degrees), j))
-                        or layout(table, degrees, j))
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 48)
     with pytest.raises(ResourceCapError, match=r"beta_\{2,2\} needs 49 "):
         betti_table(A, 3, 4)
     # degree 1 of the first step, 7 columns, was the only one built
     assert len(built) == 7
-    # and no coordinates were laid out for the step over the cap
-    assert (7, 1) in laid_out and (7, 2) not in laid_out
     monkeypatch.setattr(betti, "BETTI_COLUMN_CAP", 49)
     with pytest.raises(ResourceCapError, match=r"beta_\{2,3\} needs 98 "):
         betti_table(A, 3, 4)
+
+
+def test_betti_entry_cap(monkeypatch):
+    # bounds spanning more than BETTI_ENTRY_CAP entries are refused before
+    # any column of the resolution is built
+    A = graded_basis(paper_artinian_reduction(3), degree_cap=4)
+    monkeypatch.setattr(betti, "_image_column",
+                        lambda *args: pytest.fail("a column was built"))
+    i_max = betti.BETTI_ENTRY_CAP // 5
+    with pytest.raises(ResourceCapError, match=r"span \d+ entries, over the cap"):
+        betti_table(A, i_max, 4)
+    with pytest.raises(ResourceCapError):
+        KoszulConfig(i_max=i_max, j_max=4).check()
+    # negative bounds stay an input error, checked first
+    with pytest.raises(InputError):
+        KoszulConfig(i_max=-1, j_max=10 ** 9).check()
 
 
 def grid(i_max, j_max, nonzero_entries):

@@ -326,6 +326,25 @@ def test_analyze_capped_resolution_still_reports(monkeypatch):
     assert "koszul: skipped (" in render_text(r)
 
 
+def test_betti_bounds_over_the_entry_cap_exit_2(capsys):
+    # 3000001 * 6 entries: refused by the configuration check, before the
+    # toric ideal's marking search or any Betti step
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "koszul", "cycle(5)", "--marking-cap",
+                             "1", "--imax", "3000000")
+    assert code == 2 and not out
+    assert err.startswith("resource cap:")
+    assert f"over the cap {betti.BETTI_ENTRY_CAP}" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_analyze_skips_koszul_block_over_the_entry_cap():
+    r = analyze("cycle(5)", KoszulConfig(i_max=3_000_000, marking_cap=1))
+    assert r["koszul"]["status"] is None
+    assert f"over the cap {betti.BETTI_ENTRY_CAP}" in r["koszul"]["skipped"]
+    assert r["gorenstein"]["verdict"] == "Gorenstein"
+
+
 def test_analyze_renders_text(square_report):
     text = render_text(square_report)
     assert "h=(1, 2, 1)" in text

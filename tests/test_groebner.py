@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import parse_graph
-from koszulforge.groebner import (IdealPresentation, eliminate,
-                                  initial_ideal, monomial_ideal,
+from koszulforge.groebner import (IdealPresentation, StandardAction,
+                                  eliminate, initial_ideal, monomial_ideal,
                                   multiplication_table, normal_form,
                                   reduced_gb, spolynomial, standard_monomials)
 from koszulforge.polyring import Polynomial, TermOrder
@@ -275,6 +275,26 @@ def test_reduced_gb_properties(case):
     # the reduced basis is unique, whatever order the pairs arise in
     backwards = IdealPresentation(pres.labels, pres.generators[::-1])
     assert reduced_gb(backwards, order).elements == els
+
+
+@given(small_ideals())
+@settings(max_examples=40, deadline=None)
+def test_standard_action_columns_are_normal_forms(case):
+    # column(d, v)[i] keys positions in basis(d + 1); read over that basis
+    # it is the normal form of x_v * basis(d)[i]
+    pres, order = case
+    gb = reduced_gb(pres, order)
+    action = StandardAction(gb)
+    width = pres.width
+    for d in range(4):
+        source, target = action.basis(d), action.basis(d + 1)
+        for v in range(width):
+            column = action.column(d, v)
+            assert len(column) == len(source)
+            for mono, col in zip(source, column):
+                product = Polynomial.variable(width, v) * Polynomial.monomial(mono)
+                read = Polynomial(width, {target[b]: c for b, c in col.items()})
+                assert read == normal_form(product, gb)
 
 
 def test_reduced_gb_memoized_with_or_without_spair_cap(heptagon):

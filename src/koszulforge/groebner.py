@@ -10,11 +10,21 @@ pairs wait in a heap; a pair the criteria discard later is skipped when it
 is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
 
-Inside the engine, the division and the monomial minimalization a monomial
-is a packed int (see polyring): the input is packed once and the results
-unpacked once.  The order keys of packed monomials are memoised per engine,
-and a reduced basis packs its reducers once, with memoised keys of its own,
-for every normal form taken against it.
+Inside the engine, the division and the monomial minimalization the data
+are machine ints wherever the input lets them:
+
+* a monomial is a packed int (see polyring): the input is packed once and
+  the results unpacked once;
+* its order key is the int ``TermOrder.packed_key``, memoised per engine;
+* every engine polynomial is monic, and a coefficient is an int whenever
+  it is integral, a Fraction only when it is not.  A toric ideal, whose
+  binomials have coefficients +-1, runs on ints throughout.  The public
+  Polynomial keeps Fraction coefficients;
+* each basis element is an (lm, terms) reducer built once, and the
+  reducers of the current basis, sorted by leading key, form one list that
+  is rebuilt only when the basis changes.  A reduced basis packs its
+  reducers once, with memoised keys of its own, for every normal form
+  taken against it.
 """
 
 from __future__ import annotations
@@ -23,14 +33,18 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .errors import InputError, ResourceCapError
 from .linalg import Eliminator
 from .polyring import (EXP_MAX, FIELD_BITS, Monomial, Polynomial, TermOrder,
                        check_packed, guard_mask, mono_degree, pack,
-                       packed_degree, packed_divides, packed_lcm, unpack)
+                       packed_degree, packed_lcm, unpack)
 
 DEFAULT_SPAIR_CAP = 10 ** 6
+
+# an engine coefficient: an int when integral, else a Fraction
+Coeff = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,8 @@ class MonomialIdeal:
 
     def _contains(self, p: int) -> bool:
         guard, gens = self._packed
-        return any(packed_divides(a, p, guard) for a in gens)
+        p_guarded = p | guard
+        return any((p_guarded - a) & guard == guard for a in gens)
 
     @cached_property
     def _involving(self) -> tuple[tuple[int, ...], ...]:
@@ -137,7 +152,11 @@ class MonomialIdeal:
         """Whether q = p * x_v lies in the ideal, for a p outside it: a
         generator that divides q but not p involves x_v."""
         guard = self._packed[0]
-        return any(packed_divides(a, q, guard) for a in self._involving[v])
+        q_guarded = q | guard
+        for a in self._involving[v]:
+            if (q_guarded - a) & guard == guard:
+                return True
+        return False
 
     def to_json(self) -> dict:
         return {"width": self.width,
@@ -160,7 +179,11 @@ def minimal_generators(gens) -> list[Monomial]:
     minimal: list[Monomial] = []
     for m in gens:
         p = pack(m)
-        if not any(packed_divides(a, p, guard) for a in kept):
+        p_guarded = p | guard
+        for a in kept:
+            if (p_guarded - a) & guard == guard:
+                break
+        else:
             kept.append(p)
             minimal.append(m)
     minimal.sort()
@@ -177,40 +200,53 @@ def monomial_ideal(width: int, gens) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 class _OrderKeys(dict):
-    """Order keys of packed monomials, each computed on first use."""
+    """Int order keys of packed monomials, each computed on first use."""
 
     def __init__(self, order: TermOrder):
         super().__init__()
-        self.order_key = order.key
-        self.width = order.width
+        self.packed_key = order.packed_key
 
-    def __missing__(self, p: int):
-        k = self[p] = self.order_key(unpack(p, self.width))
+    def __missing__(self, p: int) -> int:
+        k = self[p] = self.packed_key(p)
         return k
 
 
-def _pack_terms(terms: dict[Monomial, Fraction]) -> dict[int, Fraction]:
-    return {pack(m): c for m, c in terms.items()}
+def _coeff(c):
+    """c itself, or its numerator when it is an integral Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
-def _unpack_terms(terms: dict[int, Fraction], width: int) -> dict[Monomial, Fraction]:
+def _pack_terms(terms: dict[Monomial, Fraction]) -> dict[int, Coeff]:
+    return {pack(m): _coeff(c) for m, c in terms.items()}
+
+
+def _unpack_terms(terms: dict[int, Coeff], width: int) -> dict[Monomial, Coeff]:
     return {unpack(m, width): c for m, c in terms.items()}
 
 
-def _reducers(gb: GroebnerBasis, keys: _OrderKeys) -> list:
-    """The basis as packed (lm, lc, terms) reducers."""
+def _monic(terms: dict[int, Coeff], lm: int) -> dict[int, Coeff]:
+    """terms divided by their coefficient at lm, an integral quotient as an
+    int."""
+    lc = terms[lm]
+    if lc == 1 and all(c.__class__ is int for c in terms.values()):
+        return terms
+    return {m: _coeff(Fraction(c, lc)) for m, c in terms.items()}
+
+
+def _reducers(gb: GroebnerBasis, keys: _OrderKeys) -> list[tuple[int, dict]]:
+    """The basis as packed, monic (lm, terms) reducers."""
     out = []
     for g in gb.elements:
         terms = _pack_terms(g.terms)
         lm = max(terms, key=keys.__getitem__)
-        out.append((lm, terms[lm], terms))
+        out.append((lm, _monic(terms, lm)))
     return out
 
 
-def _reduce_dict(f: dict[int, Fraction], reducers: list[tuple[int, Fraction, dict]],
-                 keys: _OrderKeys, guard: int) -> dict[int, Fraction]:
-    """Full normal form of the packed term dict f against (lm, lc, terms)
-    reducers.
+def _reduce_dict(f: dict[int, Coeff], reducers: list[tuple[int, dict]],
+                 keys: _OrderKeys, guard: int) -> dict[int, Coeff]:
+    """Full normal form of the packed term dict f against monic (lm, terms)
+    reducers, the first divisor in list order reducing.
 
     A product whose exponent overflowed its field is an exact but flagged
     key: it is only compared until it leads, and is checked then, so every
@@ -218,26 +254,29 @@ def _reduce_dict(f: dict[int, Fraction], reducers: list[tuple[int, Fraction, dic
     """
     key = keys.__getitem__
     p = dict(f)
-    remainder: dict[int, Fraction] = {}
+    remainder: dict[int, Coeff] = {}
     while p:
-        lm = check_packed(max(p, key=key), guard)
+        lm = max(p, key=key)
+        if lm & guard:
+            check_packed(lm, guard)
         lc = p[lm]
-        for glm, glc, gterms in reducers:
-            if packed_divides(glm, lm, guard):
+        # glm | lm, with the guard bits of lm set once for the whole scan
+        lm_guarded = lm | guard
+        for glm, gterms in reducers:
+            if (lm_guarded - glm) & guard == guard:
                 break
         else:
             remainder[lm] = lc
             del p[lm]
             continue
         shift = lm - glm
-        scale = lc / glc
         for m, c in gterms.items():
             mm = m + shift
-            s = p.get(mm, 0) - scale * c
+            s = p.get(mm, 0) - lc * c
             if s:
                 p[mm] = s
             else:
-                p.pop(mm, None)
+                del p[mm]
     return remainder
 
 
@@ -256,7 +295,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Buchberger state over packed monomials."""
+    """Buchberger state over packed monomials and monic polynomials."""
 
     def __init__(self, order: TermOrder, spair_cap: int):
         self.width = order.width
@@ -265,33 +304,34 @@ class _Engine:
         self.key = self.keys.__getitem__
         self.cap = spair_cap
         self.processed = 0
-        self.polys: list[dict[int, Fraction]] = []
+        # each element as an (lm, terms) reducer, built once, and the
+        # reducers of G by leading key, rebuilt only after G changes
+        self.reducers: list[tuple[int, dict[int, Coeff]]] = []
         self.lms: list[int] = []
-        self.lm_keys: list = []
+        self.lm_keys: list[int] = []
         self.G: set[int] = set()
+        self._by_leading: list[tuple[int, dict]] | None = None
         # live pairs with the lcm of their leading monomials; the heap holds
         # every pair ever created, and a pair once dropped from B never
         # returns, so popping skips the dead ones
         self.B: dict[tuple[int, int], int] = {}
         self.heap: list = []
 
-    def add_poly(self, terms: dict[int, Fraction]) -> int:
+    def add_poly(self, terms: dict[int, Coeff]) -> int:
         lm = max(terms, key=self.key)
-        lc = terms[lm]
-        if lc != 1:
-            terms = {m: c / lc for m, c in terms.items()}
-        self.polys.append(terms)
+        self.reducers.append((lm, _monic(terms, lm)))
         self.lms.append(lm)
         self.lm_keys.append(self.key(lm))
-        return len(self.polys) - 1
+        return len(self.lms) - 1
 
     def by_leading(self, indices) -> list[int]:
         return sorted(indices, key=self.lm_keys.__getitem__)
 
-    def reduce(self, terms: dict[int, Fraction], against: list[int]):
-        one = Fraction(1)
-        reducers = [(self.lms[i], one, self.polys[i]) for i in against]
-        return _reduce_dict(terms, reducers, self.keys, self.guard)
+    def basis_reducers(self) -> list[tuple[int, dict]]:
+        """The reducers of G, by leading key."""
+        if self._by_leading is None:
+            self._by_leading = [self.reducers[i] for i in self.by_leading(self.G)]
+        return self._by_leading
 
     def update(self, ih: int) -> None:
         """Gebauer-Moeller pair update after adding basis element ih."""
@@ -309,21 +349,29 @@ class _Engine:
             if mh + lms[ig] == lcm_hg:
                 D.append(ig)
                 continue
-            if (not any(packed_divides(lcm_h[ip], lcm_hg, guard) for ip in C)
-                    and not any(packed_divides(lcm_h[ip], lcm_hg, guard)
-                                for ip in D)):
+            # chain criterion: drop (h, g) when lcm(h, p) | lcm(h, g) for a
+            # p still in C or already kept in D
+            lcm_guarded = lcm_hg | guard
+            for ip in chain(C, D):
+                if (lcm_guarded - lcm_h[ip]) & guard == guard:
+                    break
+            else:
                 D.append(ig)
                 E.append(ig)
-        self.B = {pair: lcm12 for pair, lcm12 in self.B.items()
-                  if not packed_divides(mh, lcm12, guard)
-                  or lcm_h[pair[0]] == lcm12 or lcm_h[pair[1]] == lcm12}
+        B = self.B
+        for pair in [pair for pair, lcm12 in B.items()
+                     if ((lcm12 | guard) - mh) & guard == guard
+                     and lcm_h[pair[0]] != lcm12 and lcm_h[pair[1]] != lcm12]:
+            del B[pair]
         for ig in E:
             pair, lcm = (ih, ig), lcm_h[ig]
-            self.B[pair] = lcm
+            B[pair] = lcm
             heapq.heappush(self.heap, (packed_degree(lcm, self.width),
                                        self.key(lcm), pair))
-        self.G = {ig for ig in self.G if not packed_divides(mh, lms[ig], guard)}
+        self.G = {ig for ig in self.G
+                  if ((lms[ig] | guard) - mh) & guard != guard}
         self.G.add(ih)
+        self._by_leading = None
 
     def pop_pair(self) -> tuple[tuple[int, int], int]:
         """The live pair whose lcm is least by (degree, order key, pair)."""
@@ -333,19 +381,20 @@ class _Engine:
             if lcm is not None:
                 return pair, lcm
 
-    def spoly(self, i: int, j: int, lcm: int) -> dict[int, Fraction]:
+    def spoly(self, i: int, j: int, lcm: int) -> dict[int, Coeff]:
         """The S-polynomial, whose terms _reduce_dict checks as they lead."""
-        si, sj = lcm - self.lms[i], lcm - self.lms[j]
-        out: dict[int, Fraction] = {}
-        for m, c in self.polys[i].items():
+        (lm_i, terms_i), (lm_j, terms_j) = self.reducers[i], self.reducers[j]
+        si, sj = lcm - lm_i, lcm - lm_j
+        out: dict[int, Coeff] = {}
+        for m, c in terms_i.items():
             out[m + si] = c
-        for m, c in self.polys[j].items():
+        for m, c in terms_j.items():
             mm = m + sj
             s = out.get(mm, 0) - c
             if s:
                 out[mm] = s
             else:
-                out.pop(mm, None)
+                del out[mm]
         return out
 
 
@@ -376,7 +425,7 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     # cancellation, and we iterate to a fixpoint
     current = [_pack_terms(g.terms) for g in pres.generators]
     while True:
-        kept: list[tuple[int, Fraction, dict]] = []
+        kept: list[tuple[int, dict]] = []
         changed = False
         for p in current:
             r = _reduce_dict(p, kept, eng.keys, eng.guard)
@@ -384,10 +433,8 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
                 changed = True
             if r:
                 lm = max(r, key=eng.key)
-                lc = r[lm]
-                q = {m: c / lc for m, c in r.items()}
-                kept.append((lm, q[lm], q))
-        current = [q for _, _, q in kept]
+                kept.append((lm, _monic(r, lm)))
+        current = [q for _, q in kept]
         if not changed:
             break
     if not current:
@@ -395,7 +442,7 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     for p in current:
         eng.add_poly(p)
 
-    for ih in eng.by_leading(range(len(eng.polys))):
+    for ih in eng.by_leading(range(len(eng.lms))):
         eng.update(ih)
 
     while eng.B:
@@ -407,25 +454,29 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
         s = eng.spoly(*pair, lcm)
         if not s:
             continue
-        h = eng.reduce(s, eng.by_leading(eng.G))
+        h = _reduce_dict(s, eng.basis_reducers(), eng.keys, eng.guard)
         if h:
             eng.update(eng.add_poly(h))
 
     # minimalize and tail-reduce into the reduced basis
     chosen = eng.by_leading(eng.G)
     lms, guard = eng.lms, eng.guard
-    minimal = [i for i in chosen
-               if not any(j != i and packed_divides(lms[j], lms[i], guard)
-                          for j in chosen)]
-    final: list[tuple[int, dict[int, Fraction]]] = []
+    minimal = []
+    for i in chosen:
+        lm_guarded = lms[i] | guard
+        for j in chosen:
+            if j != i and (lm_guarded - lms[j]) & guard == guard:
+                break
+        else:
+            minimal.append(i)
+    final: list[tuple[int, dict[int, Coeff]]] = []
     for i in minimal:
-        others = [j for j in minimal if j != i]
-        r = eng.reduce(eng.polys[i], others)
+        others = [eng.reducers[j] for j in minimal if j != i]
+        r = _reduce_dict(eng.reducers[i][1], others, eng.keys, guard)
         if not r:
             raise AssertionError("minimal basis element reduced to zero")
         lm = max(r, key=eng.key)
-        lc = r[lm]
-        final.append((lm, {m: c / lc for m, c in r.items()}))
+        final.append((lm, _monic(r, lm)))
     final.sort(key=lambda item: eng.key(item[0]))
     return GroebnerBasis(order, tuple(
         Polynomial(pres.width, _unpack_terms(terms, pres.width))
@@ -472,7 +523,12 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
-    """All degree-d monomials outside the ideal, in grevlex order.
+    """All degree-d monomials outside the ideal, in grevlex order."""
+    return [unpack(p, ideal.width) for p in _standard_packed(ideal, degree)]
+
+
+def _standard_packed(ideal: MonomialIdeal, degree: int) -> list[int]:
+    """standard_monomials, packed.
 
     A divisor of a standard monomial is standard, so each degree extends the
     one below by a variable at or after the last one used.
@@ -495,8 +551,8 @@ def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
                 if not ideal._contains_product(q, v):
                     longer.append((q, v))
         layer = longer
-    out = [unpack(p, m) for p, _ in layer]
-    out.sort(key=TermOrder.grevlex(m).key)
+    out = [p for p, _ in layer]
+    out.sort(key=TermOrder.grevlex(m).packed_key)
     return out
 
 
@@ -514,19 +570,27 @@ class StandardAction:
         self.gb = gb
         self.width = gb.order.width
         self.initial = initial_ideal(gb)
-        self._bases: dict[int, tuple[tuple[Monomial, ...], dict[int, int]]] = {}
+        self._packed_bases: dict[int, dict[int, int]] = {}
+        self._bases: dict[int, tuple[Monomial, ...]] = {}
         self._columns: dict[tuple[int, int], tuple[dict, ...]] = {}
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
-        return self._basis(d)[0]
-
-    def _basis(self, d: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
-        """basis(d) and the position of each of its packed monomials."""
         found = self._bases.get(d)
         if found is None:
-            basis = tuple(standard_monomials(self.initial, d))
-            found = self._bases[d] = (
-                basis, {pack(m): i for i, m in enumerate(basis)})
+            found = self._bases[d] = tuple(
+                unpack(p, self.width) for p in self._positions(d))
+        return found
+
+    def dimension(self, d: int) -> int:
+        return len(self._positions(d))
+
+    def _positions(self, d: int) -> dict[int, int]:
+        """The packed monomials of basis(d), in its order, each mapped to its
+        position."""
+        found = self._packed_bases.get(d)
+        if found is None:
+            found = self._packed_bases[d] = {
+                p: i for i, p in enumerate(_standard_packed(self.initial, d))}
         return found
 
     def column(self, d: int, v: int) -> tuple[dict, ...]:
@@ -548,7 +612,7 @@ class StandardAction:
         maps = [(k, c, self.column(d, v))
                 for k, form in enumerate(forms) for v, c in form]
         columns = []
-        for i in range(len(self.basis(d))):
+        for i in range(self.dimension(d)):
             col: dict = {}
             for k, c, cols in maps:
                 for b, a in cols[i].items():
@@ -564,18 +628,16 @@ class StandardAction:
     def _act(self, d: int, v: int) -> tuple[dict, ...]:
         guard, keys, reducers = self.gb._packed
         unit = 1 << (FIELD_BITS * v)
-        one = Fraction(1)
-        target = self._basis(d + 1)[1]
+        target = self._positions(d + 1)
         cols = []
-        for mono in self._basis(d)[1]:
+        for mono in self._positions(d):
             prod = mono + unit
             if not self.initial._contains_product(prod, v):
                 # a product outside the initial ideal is its own normal form
                 cols.append({target[prod]: 1})
             else:
-                nf = _reduce_dict({prod: one}, reducers, keys, guard)
-                cols.append({target[m]: c.numerator if c.denominator == 1 else c
-                             for m, c in nf.items()})
+                nf = _reduce_dict({prod: 1}, reducers, keys, guard)
+                cols.append({target[m]: _coeff(c) for m, c in nf.items()})
         return tuple(cols)
 
 
@@ -588,7 +650,7 @@ class MultiplicationTable:
     degree_cap: int
 
     def dimension(self, d: int) -> int:
-        return len(self.action.basis(d))
+        return self.action.dimension(d)
 
     def dimensions(self) -> tuple[int, ...]:
         return tuple(self.dimension(d) for d in range(self.degree_cap + 1))

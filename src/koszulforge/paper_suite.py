@@ -175,8 +175,9 @@ def case_2_toric_ideals() -> CaseResult:
     t0 = time.perf_counter()
     ok = True
     details: dict = {}
-    for name, closed in (("cbar3", cbar_ideal(3)), ("cbar4", cbar_ideal(4)),
-                         ("family1", family_ideal(1))):
+    closed_forms = [("cbar3", cbar_ideal(3)), ("cbar4", cbar_ideal(4))]
+    closed_forms += [(f"family{k}", family_ideal(k)) for k in (1, 2, 3)]
+    for name, closed in closed_forms:
         t1 = time.perf_counter()
         closed.validate()
         elim = toric_ideal(closed.map)
@@ -189,7 +190,8 @@ def case_2_toric_ideals() -> CaseResult:
                 and all(normal_form(p, gb_elim).is_zero()
                         for p in closed.presentation.generators))
         elapsed = time.perf_counter() - t1
-        expected_count = {"cbar3": 14, "cbar4": 18, "family1": 15}[name]
+        expected_count = {"cbar3": 14, "cbar4": 18, "family1": 15,
+                          "family2": 16, "family3": 17}[name]
         good = both and len(closed.presentation.generators) == expected_count \
             and elapsed < 60.0
         ok &= good

@@ -13,7 +13,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from math import lcm
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Mapping
 
 from .errors import InputError, ResourceCapError
 
@@ -61,11 +64,13 @@ def unit_mono(width: int, index: int, exp: int = 1) -> Monomial:
 #
 # Two valid fields sum to less than 2 ** 16, so a product never carries into
 # the next field: an exponent past EXP_MAX shows as a set guard bit, and the
-# engine raises ResourceCapError on it before using the monomial again.
+# engine raises ResourceCapError on it before using the monomial again.  The
+# order key of a packed monomial is an int as well (TermOrder.packed_key).
 
 EXP_BITS = 15
 FIELD_BITS = EXP_BITS + 1
 EXP_MAX = (1 << EXP_BITS) - 1
+FIELD_MAX = (1 << FIELD_BITS) - 1
 
 
 def guard_mask(width: int) -> int:
@@ -154,7 +159,7 @@ class TermOrder:
     @staticmethod
     def weight(weights: Iterable[Fraction | int],
                ranking: Iterable[int] | None = None) -> "TermOrder":
-        w = tuple(Fraction(x) for x in weights)
+        w = tuple(map(_exact, weights))
         rk = _check_ranking(len(w), ranking)
         return TermOrder("weight", rk, weights=w,
                          tiebreak=TermOrder.grevlex(len(w), rk))
@@ -197,6 +202,23 @@ class TermOrder:
             return ((dropdeg, tuple(-m[v] for v in dropped)), self.tiebreak.key(kept))
         raise InputError(f"unknown term order kind {kind!r}")
 
+    @cached_property
+    def packed_key(self) -> Callable[[int], int]:
+        """Sort key of packed monomials: ``packed_key(p)`` is an int, and
+        ints order as ``key(unpack(p, width))`` does.
+
+        Fields are read whole, up to FIELD_MAX, so a product whose exponent
+        overflowed into its guard bit still compares exactly until it leads
+        and is checked.
+        """
+        return _packed_key(self)[0]
+
+    def __getstate__(self) -> dict:
+        # the packed_key closure cannot be pickled; it is rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("packed_key", None)
+        return state
+
     def compare(self, a: Monomial, b: Monomial) -> str:
         """Return 'LT', 'EQ' or 'GT' for a versus b."""
         if len(a) != self.width or len(b) != self.width:
@@ -224,9 +246,74 @@ def _check_ranking(width: int, ranking: Iterable[int] | None) -> tuple[int, ...]
     return rk
 
 
+def _fields(variables: Iterable[int]) -> Callable[[bytes], tuple[int, ...]]:
+    """From the little-endian bytes of a packed monomial, the bytes of the
+    fields of the given variables, big-endian, the first variable's first."""
+    picks = [i for v in variables for i in (2 * v + 1, 2 * v)]
+    return itemgetter(*picks) if picks else lambda b: ()
+
+
+def _packed_key(order: TermOrder) -> tuple[Callable[[int], int], int]:
+    """The packed key of an order and a bit length that bounds it.
+
+    A descending-field tuple ``(-m[v] for v in vs)`` becomes the big-endian
+    int of the fields ``FIELD_MAX - m[v]``; a pair of keys becomes
+    ``(first << bits(second)) + second`` with both parts nonnegative.
+    """
+    width, kind = order.width, order.kind
+    nbytes = 2 * width
+    if kind in ("grevlex", "block"):
+        vs = order.ranking if kind == "grevlex" else order.dropped
+        fields = _fields(vs)
+        shift = FIELD_BITS * len(vs)
+        bits = shift + (len(vs) * FIELD_MAX).bit_length()
+
+        def descending(p: int) -> int:
+            # (degree in vs, -m[vs[0]], -m[vs[1]], ...)
+            b = bytes(fields(p.to_bytes(nbytes, "little")))
+            deg = (sum(b[::2]) << 8) + sum(b[1::2])
+            return ((deg + 1) << shift) - 1 - int.from_bytes(b, "big")
+
+        if kind == "grevlex":
+            return descending, bits
+        tie, tie_bits = _packed_key(order.tiebreak)
+        keep = sum(FIELD_MAX << (FIELD_BITS * v)
+                   for v in range(width) if v not in vs)
+        return (lambda p: (descending(p) << tie_bits) + tie(p & keep),
+                bits + tie_bits)
+    if kind == "lex":
+        fields = _fields(reversed(order.ranking))
+        return (lambda p: int.from_bytes(
+            bytes(fields(p.to_bytes(nbytes, "little"))), "big"),
+            FIELD_BITS * width)
+    if kind == "weight":
+        scale = lcm(*(w.denominator for w in order.weights))
+        w = [int(x * scale) for x in order.weights]
+        least = FIELD_MAX * sum(x for x in w if x < 0)
+        span = FIELD_MAX * sum(abs(x) for x in w)
+        tie, tie_bits = _packed_key(order.tiebreak)
+
+        def weighted(p: int) -> int:
+            b = p.to_bytes(nbytes, "little")
+            total = sum(map(mul, w, b[::2])) + (sum(map(mul, w, b[1::2])) << 8)
+            return ((total - least) << tie_bits) + tie(p)
+
+        return weighted, span.bit_length() + tie_bits
+    raise InputError(f"unknown term order kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def _exact(c) -> Fraction:
+    """c as a Fraction; a float is an InputError, since Fraction(0.1) is the
+    binary value of the float, not 1/10."""
+    if isinstance(c, float):
+        raise InputError(f"inexact coefficient {c!r}: give an int, a Fraction "
+                         f"or a string such as '1/10'")
+    return Fraction(c)
+
 
 class Polynomial:
     """An exact multivariate polynomial: {monomial: nonzero Fraction}.
@@ -243,7 +330,7 @@ class Polynomial:
             for mono, c in terms.items():
                 if len(mono) != width:
                     raise InputError("term width mismatch")
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[mono] = c
         self.terms = clean
@@ -256,11 +343,11 @@ class Polynomial:
 
     @staticmethod
     def constant(width: int, c: Fraction | int) -> "Polynomial":
-        return Polynomial(width, {mono_one(width): Fraction(c)})
+        return Polynomial(width, {mono_one(width): c})
 
     @staticmethod
     def monomial(mono: Monomial, coeff: Fraction | int = 1) -> "Polynomial":
-        return Polynomial(len(mono), {mono: Fraction(coeff)})
+        return Polynomial(len(mono), {mono: coeff})
 
     @staticmethod
     def variable(width: int, index: int) -> "Polynomial":
@@ -348,7 +435,7 @@ class Polynomial:
                     else:
                         out.pop(m, None)
             return _raw(self.width, out)
-        c = Fraction(other)
+        c = _exact(other)
         if not c:
             return Polynomial.zero(self.width)
         return _raw(self.width, {m: c * v for m, v in self.terms.items()})
@@ -356,6 +443,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def mul_term(self, mono: Monomial, coeff: Fraction) -> "Polynomial":
+        coeff = _exact(coeff)
         if not coeff:
             return Polynomial.zero(self.width)
         return _raw(self.width,
@@ -445,7 +533,8 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for item in data:
             mono = tuple(item["exps"])
-            terms[mono] = Fraction(item["coeff"])
+            c = item["coeff"]
+            terms[mono] = Fraction(c) if isinstance(c, str) else c
         return Polynomial(width, terms)
 
     def __repr__(self):

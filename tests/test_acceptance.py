@@ -34,7 +34,8 @@ def test_criterion_01_stable_sets():
 def test_criterion_02_toric_ideal_equality():
     result = _run(2)
     _assert_case(result)
-    for name, count in (("cbar3", 14), ("cbar4", 18), ("family1", 15)):
+    for name, count in (("cbar3", 14), ("cbar4", 18), ("family1", 15),
+                        ("family2", 16), ("family3", 17)):
         assert result.details[name]["ideal_equal"]
         assert result.details[name]["closed_form_generators"] == count
         assert result.details[name]["within_limit"]

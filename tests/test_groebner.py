@@ -19,7 +19,7 @@ from koszulforge.groebner import (IdealPresentation, StandardAction,
                                   eliminate, initial_ideal, monomial_ideal,
                                   multiplication_table, normal_form,
                                   reduced_gb, spolynomial, standard_monomials)
-from koszulforge.polyring import Polynomial, TermOrder
+from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
@@ -295,6 +295,31 @@ def test_standard_action_columns_are_normal_forms(case):
                 product = Polynomial.variable(width, v) * Polynomial.monomial(mono)
                 read = Polynomial(width, {target[b]: c for b, c in col.items()})
                 assert read == normal_form(product, gb)
+
+
+def test_standard_action_columns_hold_ints_on_a_toric_ring(heptagon_gb):
+    # a toric ideal has a basis of binomials with unit coefficients, so every
+    # normal form of a monomial, and every column entry, is an int
+    action = StandardAction(heptagon_gb)
+    entries = [c for d in range(4) for v in range(action.width)
+               for col in action.column(d, v) for c in col.values()]
+    assert entries and all(type(c) is int for c in entries)
+
+
+def test_reduced_gb_keeps_fractional_coefficients():
+    # the engine runs on ints where it can; a non-integral coefficient stays
+    # an exact Fraction, and the public basis is monic over Q
+    labels = ("x", "y", "z")
+    pres = IdealPresentation(labels, tuple(
+        parse_polynomial(g, labels)
+        for g in ("y^2 - 2*x*z - x^2", "3*y^2 + x*z", "3*x*y + x^2")))
+    gb = reduced_gb(pres, TermOrder.grevlex(3))
+    coeffs = [c for g in gb.elements for c in g.terms.values()]
+    assert all(type(c) is Fraction for c in coeffs)
+    assert {Fraction(1, 3), Fraction(3, 7), Fraction(-1, 7)} <= set(coeffs)
+    assert all(g.leading(gb.order)[1] == 1 for g in gb.elements)
+    x2 = Polynomial.monomial((2, 0, 0))
+    assert normal_form(parse_polynomial("x*y", labels), gb) == x2 * Fraction(-1, 3)
 
 
 def test_reduced_gb_memoized_with_or_without_spair_cap(heptagon):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, term orders, parsing and serialization."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
-from koszulforge.polyring import (EXP_MAX, Polynomial, TermOrder, check_packed,
+from koszulforge.polyring import (EXP_MAX, FIELD_BITS, FIELD_MAX, Polynomial,
+                                  TermOrder, check_packed,
                                   guard_mask, mono_mul, mono_one, pack,
                                   packed_degree, packed_divides, packed_lcm,
                                   parse_polynomial, unit_mono, unpack)
@@ -263,3 +265,92 @@ def test_pack_rejects_exponents_outside_a_field():
     with pytest.raises(InputError):
         pack((1, -1))
     assert pack(()) == 0 and unpack(0, 0) == ()
+
+
+# ---------------------------------------------------------------------------
+# int order keys of packed monomials
+# ---------------------------------------------------------------------------
+
+def raw_pack(m):
+    """Fields laid out as pack does, without its range check, so that a
+    field may hold a flagged product up to FIELD_MAX."""
+    return sum(e << (FIELD_BITS * i) for i, e in enumerate(m))
+
+
+@st.composite
+def orders_and_monomials(draw):
+    """Any kind of order over a random ranking, and distinct monomials whose
+    fields reach past EXP_MAX up to FIELD_MAX."""
+    width = draw(st.integers(0, 7))
+    ranking = draw(st.permutations(range(width)))
+    weights = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                       min_size=width, max_size=width)
+
+    def simple(draw_kind):
+        if draw_kind == "lex":
+            return TermOrder.lex(width, ranking)
+        if draw_kind == "grevlex":
+            return TermOrder.grevlex(width, ranking)
+        return TermOrder.weight(draw(weights), ranking)
+
+    kind = draw(st.sampled_from(["lex", "grevlex", "weight", "block"]))
+    if kind == "block":
+        dropped = draw(st.lists(st.sampled_from(range(width)), unique=True)
+                       if width else st.just([]))
+        kept = simple(draw(st.sampled_from(["lex", "grevlex", "weight"])))
+        order = TermOrder.block(width, dropped, kept)
+    else:
+        order = simple(kind)
+    fields = st.one_of(st.integers(0, 3), st.integers(0, FIELD_MAX),
+                       st.sampled_from([EXP_MAX, EXP_MAX + 1, FIELD_MAX]))
+    monos = draw(st.lists(st.tuples(*[fields] * width), min_size=1,
+                          max_size=6, unique=True))
+    # moves of exponent between two fields keep the degree, so that the
+    # comparisons past it are reached too
+    for _ in range(draw(st.integers(0, 10)) if width > 1 else 0):
+        m = list(draw(st.sampled_from(monos)))
+        i, j = draw(st.permutations(range(width)))[:2]
+        t = draw(st.integers(0, min(m[i], FIELD_MAX - m[j])))
+        m[i] -= t
+        m[j] += t
+        monos.append(tuple(m))
+    return order, list(dict.fromkeys(monos))
+
+
+@given(orders_and_monomials())
+@settings(max_examples=300)
+def test_packed_key_orders_as_the_tuple_key(case):
+    order, monos = case
+    by_key = sorted(monos, key=order.key)
+    assert sorted(monos, key=lambda m: order.packed_key(raw_pack(m))) == by_key
+    assert all(isinstance(order.packed_key(raw_pack(m)), int) for m in monos)
+
+
+def test_term_order_pickles_after_packed_key_use():
+    order = TermOrder.block(3, [0], TermOrder.weight([1, 2, 3]))
+    key = order.packed_key(raw_pack((1, 2, 3)))
+    back = pickle.loads(pickle.dumps(order))
+    assert back == order and hash(back) == hash(order)
+    assert back.packed_key(raw_pack((1, 2, 3))) == key
+
+
+# ---------------------------------------------------------------------------
+# inexact coefficients
+# ---------------------------------------------------------------------------
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(InputError, match="inexact"):
+        Polynomial(2, {(1, 0): 0.1})
+    with pytest.raises(InputError, match="inexact"):
+        Polynomial.monomial((1, 0), 0.5)
+    with pytest.raises(InputError, match="inexact"):
+        Polynomial.from_json([{"coeff": 0.1, "exps": [1, 0]}], 2)
+    x = Polynomial.variable(2, 0)
+    for inexact in (lambda: x * 0.1, lambda: x.mul_term((0, 1), 0.1),
+                    lambda: TermOrder.weight([0.1, 1])):
+        with pytest.raises(InputError, match="inexact"):
+            inexact()
+    # exact spellings still parse
+    p = Polynomial.from_json([{"coeff": "1/10", "exps": [1, 0]},
+                              {"coeff": 2, "exps": [0, 1]}], 2)
+    assert p.terms == {(1, 0): Fraction(1, 10), (0, 1): Fraction(2)}

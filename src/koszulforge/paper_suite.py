@@ -299,7 +299,8 @@ def case_6_qgb_nonexistence() -> CaseResult:
     ideal = cbar_ideal(3)
     decision = cbar3_qgb_decision()
     ok = (not decision.exists and decision.total_markings == 16384
-          and decision.tested_markings == 16384)
+          and decision.tested_markings == 16384
+          and decision.feasible_markings == 2184)
     details["exists"] = decision.exists
     details["total_markings"] = decision.total_markings
     details["feasible_markings"] = decision.feasible_markings

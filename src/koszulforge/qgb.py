@@ -8,7 +8,11 @@ quadratic basis under a realizing order iff the monomial ideal generated by
 the non-minimal members has the same Hilbert series as the toric ring.
 Accounting for every marking therefore decides existence exactly: any match
 yields a realizing weight order with its reduced quadratic basis, and no
-match over all feasible markings is a nonexistence certificate.
+match over all feasible markings is a nonexistence certificate.  Equal
+series force equal degree-3 parts, so a feasible marking is first checked
+by counting the distinct cubic multiples of its non-minimal members against
+the number of cubics outside the ring's degree 3; only a marking that passes
+that count has its full Hilbert numerator computed.
 
 The markings are walked depth-first in ``itertools.product`` order, one
 class per level.  A prefix of choices carries the weight system of its
@@ -25,13 +29,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 from .errors import InputError, ResourceCapError
 from .exactlp import feasible_strict, nonnegative_shift
 from .groebner import DEFAULT_SPAIR_CAP, GroebnerBasis, reduced_gb
-from .hilbert import hilbert_numerator, monomial_numerator
-from .polyring import Monomial, TermOrder
+from .hilbert import (hilbert_numerator, monomial_numerator,
+                      poly1_series_coeffs)
+from .polyring import Monomial, TermOrder, pack, unit_mono
 from .toric import FiberClasses, ToricIdeal, fiber_classes
 
 DEFAULT_MARKING_CAP = 2 ** 20
@@ -172,6 +177,12 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
     """Walk the markings (see the module docstring) and series-test each
     feasible one, stopping at the first match.
 
+    The series test starts with a count in degree 3: the distinct products
+    of the marking's non-minimal members with one variable must number
+    C(n+2, 3) - HF_R(3), read once from the target numerator.  A marking
+    that fails the count fails the full test, so the count only spares its
+    numerator.
+
     Every marking is either a leaf or inside a cut subtree, and the walk
     meets them in product order, so ``tested``, ``feasible``, the witness
     marking and the order of the samples are those of a plain enumeration.
@@ -185,6 +196,13 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
             f"marking space {total} exceeds the cap {marking_cap}; "
             "raise --marking-cap to search anyway")
     target_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
+    # the degree-3 part of a matching initial ideal: all cubics but HF_R(3),
+    # against the packed cubic multiples of each class member
+    cubics = (comb(width + 2, 3)
+              - poly1_series_coeffs(target_numerator, width, 3)[3])
+    units = [pack(unit_mono(width, v)) for v in range(width)]
+    multiples = [[frozenset(pack(u) + e for e in units) for u in cls]
+                 for cls in fc.classes]
 
     feasible_count = 0
     tested = 0
@@ -196,6 +214,10 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
         feasible_count += 1
         marking = Marking(fc, minima)
         samples.append((marking, w))
+        if len(frozenset().union(*(
+                m for choice, cls in zip(minima, multiples)
+                for k, m in enumerate(cls) if k != choice))) != cubics:
+            continue
         gens = marking.nonminimal_members()
         if monomial_numerator(gens) != target_numerator:
             continue

@@ -76,6 +76,7 @@ def test_criterion_06_no_quadratic_basis():
     assert result.details["exists"] is False
     assert result.details["total_markings"] == 16384
     assert result.details["tested_markings"] == 16384
+    assert result.details["feasible_markings"] == 2184
     assert result.details["cross_checked"] >= 100
     assert result.details["cross_check_agreement"] == \
         result.details["cross_checked"]

@@ -54,11 +54,19 @@ def test_betti_cbar3_golden():
 
 
 def test_qgb_cbar3_golden_content():
-    # pinned output of the expensive nonexistence decision; the live search
-    # is re-run by the acceptance suite, here we check the frozen shape
+    # pinned output of the expensive nonexistence decision: the frozen
+    # shape here, the live decision in test_qgb_cbar3_golden_live
     data = load("qgb_cbar3")
     assert data["exists"] is False
     assert data["markings"]["total"] == 16384
     assert data["markings"]["feasible"] == 2184
     assert data["markings"]["tested"] == 16384
     assert data["exhaustion"]["all_failed_series_test"] is True
+
+
+def test_qgb_cbar3_golden_live():
+    # the live decision, byte for byte; in one pytest process it is the
+    # memoised decision that criterion 6 also reads
+    from koszulforge.paper_suite import cbar3_qgb_decision
+    got = cbar3_qgb_decision().to_json()
+    assert dump(got) == (GOLDEN / "qgb_cbar3.json").read_text()

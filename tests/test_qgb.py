@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import product
+from fractions import Fraction
+from itertools import islice, product
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import koszulforge
@@ -16,7 +18,8 @@ from koszulforge import qgb
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.exactlp import feasible_strict, nonnegative_shift
 from koszulforge.graphs import complete, cycle, parse_graph
-from koszulforge.hilbert import hilbert_series, monomial_numerator
+from koszulforge.hilbert import (hilbert_series, monomial_numerator,
+                                 poly1_series_coeffs)
 from koszulforge.qgb import (Marking, cross_check_marking, decide_quadratic_gb,
                              sample_feasible_markings,
                              series_test_for_marking, weight_feasible)
@@ -167,6 +170,100 @@ def test_paper_inequality_chain_is_infeasible():
     assert len(res.infeasible_subset) == 7
 
 
+def reference_feasible_strict(diffs):
+    """The Bareiss simplex that exactlp replaced: the full tableau with
+    explicit w- columns, over one common denominator, the last pivot.  Same
+    Bland's rule and ratio ties, so it must return the same witness."""
+    n, r = len(diffs[0]), len(diffs)
+    if any(not any(d) for d in diffs):
+        return None
+    width = 2 * n + r
+    rows = []
+    for i, d in enumerate(diffs):
+        row = list(d) + [-x for x in d] + [0] * r + [1]
+        row[2 * n + i] = -1
+        rows.append(row)
+    basis = [width + i for i in range(r)]
+    den = 1
+    obj = [sum(row[j] for row in rows) for j in range(width + 1)]
+    while True:
+        enter = next((j for j in range(width) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(r):
+            a = rows[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = rows[i][width] * rows[leave][enter]
+                rhs = rows[leave][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        prow = rows[leave]
+        p = prow[enter]
+        for row in rows + [obj]:
+            if row is not prow:
+                c = row[enter]
+                for j in range(width + 1):
+                    row[j] = (p * row[j] - c * prow[j]) // den
+        basis[leave] = enter
+        den = p
+    if obj[width] != 0:
+        return None
+    w = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            w[b] += Fraction(rows[i][width], den)
+        elif b < 2 * n:
+            w[b - n] -= Fraction(rows[i][width], den)
+    scale = lcm(*(x.denominator for x in w))
+    return tuple(int(x * scale) for x in w)
+
+
+def _balance(d):
+    """Move entries toward -3 or 3, first to last, until they sum to zero."""
+    d = list(d)
+    for i in range(len(d)):
+        s = sum(d)
+        d[i] -= min(s, d[i] + 3) if s > 0 else -min(-s, 3 - d[i])
+    return tuple(d)
+
+
+@st.composite
+def lp_systems(draw):
+    """Random strict systems: about half of the rows sum to zero, like fiber
+    differences, and some systems hold a row together with its negation.
+    The other rows face a hidden weight, so that most systems are feasible
+    and their witnesses depend on every pivot."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entries = st.lists(st.integers(min_value=-3, max_value=3),
+                       min_size=n, max_size=n)
+    hidden = draw(entries)
+    diffs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        d = tuple(draw(entries))
+        if draw(st.booleans()):
+            d = _balance(d)
+        if sum(a * b for a, b in zip(hidden, d)) < 0:
+            d = tuple(-x for x in d)
+        diffs.append(d)
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        k = draw(st.integers(min_value=0, max_value=len(diffs) - 1))
+        diffs.insert(k + 1, tuple(-x for x in diffs[k]))
+    return diffs
+
+
+# a feasible system whose witness depends on how ratio ties are broken
+@example([(1, 0, 0, 0, 1, 0, -2), (3, 1, 0, 0, 1, -2, -3),
+          (0, 1, 0, 0, 0, 0, 0)])
+@given(lp_systems())
+@settings(max_examples=400, deadline=None)
+def test_feasible_strict_matches_the_bareiss_reference(diffs):
+    assert feasible_strict(diffs) == reference_feasible_strict(diffs)
+
+
 def test_nonnegative_shift_preserves_balanced_products():
     w = (-3, 1, 4)
     shifted = nonnegative_shift(w)
@@ -183,20 +280,19 @@ FORGED_WITNESSES = {
            "qgb.feasible_strict = lambda diffs: (0,) * len(diffs[0])\n"
            "check = lambda: qgb.weight_feasible([(1, -1, 0)])",
     "exactlp": "from koszulforge import exactlp\n"
-               "exactlp._gcd = lambda a, b: a * b\n"
+               "exactlp.lcm = lambda *denominators: 1\n"
                "check = lambda: exactlp.feasible_strict([(3, 0)])",
 }
 
 
-# forge the Gordan multipliers of an infeasible system: a pivot that leaves
-# one slack reduced cost in the objective row off by one
+# forge the Gordan multipliers of an infeasible system: after each real
+# pivot, the last slack reduced cost of the objective row is off by one
 FORGED_MULTIPLIERS = (
     "from koszulforge import exactlp\n"
     "pivot = exactlp._pivot\n"
     "def forged(rows, obj, *args):\n"
-    "    den = pivot(rows, obj, *args)\n"
-    "    obj[-2] -= den\n"
-    "    return den\n"
+    "    pivot(rows, obj, *args)\n"
+    "    obj[-2] -= 1\n"
     "exactlp._pivot = forged\n"
     "check = lambda: exactlp.feasible_strict([(1, 0), (-2, 0)])")
 
@@ -330,6 +426,61 @@ def test_pruned_walk_matches_naive_enumeration(spec):
     for marking, w in decision.feasible_samples:
         assert all(sum(a * b for a, b in zip(w, d)) > 0
                    for d in marking.difference_vectors())
+
+
+def degree3_count(marking):
+    """The distinct products of the marking's non-minimal members with one
+    variable: the degree-3 part of the ideal they generate."""
+    gens = marking.nonminimal_members()
+    width = len(marking.classes.classes[0][0])
+    return len({tuple(e + (k == v) for k, e in enumerate(g))
+                for g in gens for v in range(width)})
+
+
+# cycle(5) and G4 have 240 and 960 feasible markings, all checked; G2 has
+# 11568, whose walk alone takes about a minute, so it checks the first 500
+# in product order, well past its witness, the 5th
+@pytest.mark.parametrize("spec,limit", [("cycle(5)", None), ("paper:G2", 500),
+                                        ("paper:G4", None)])
+def test_degree3_count_rejects_only_wrong_numerators(spec, limit):
+    # feasible markings past the first match: a marking whose cubic count
+    # misses C(n+2, 3) - HF_R(3) has a numerator other than the target
+    ideal = toric_ideal(monomial_map(parse_graph(spec)))
+    fc = fiber_classes(ideal.map, 2)
+    width = ideal.presentation.width
+    target = hilbert_series(ideal.presentation).numerator
+    cubics = comb(width + 2, 3) - poly1_series_coeffs(target, width, 3)[3]
+    # the pruned walk yields the feasible markings of a plain enumeration
+    # (test_pruned_walk_matches_naive_enumeration)
+    feasible = (minima for minima, w, _ in qgb._walk(fc, width)
+                if w is not None)
+    rejected = matched = 0
+    for minima in islice(feasible, limit):
+        marking = Marking(fc, minima)
+        gens = marking.nonminimal_members()
+        if degree3_count(marking) != cubics:
+            rejected += 1
+            assert monomial_numerator(gens) != target
+        else:
+            matched += monomial_numerator(gens) == target
+    assert rejected > 0 and matched > 0
+
+
+def test_g4_decision_computes_one_leaf_numerator(monkeypatch):
+    # the count rejects every feasible marking before the witness, so only
+    # the witness has its numerator computed
+    calls = []
+
+    def counted(gens):
+        calls.append(gens)
+        return monomial_numerator(gens)
+
+    qgb._decide.cache_clear()
+    monkeypatch.setattr(qgb, "monomial_numerator", counted)
+    decision = decide_quadratic_gb(
+        toric_ideal(monomial_map(parse_graph("paper:G4"))))
+    assert decision.exists
+    assert len(calls) == 1
 
 
 def test_cross_check_agrees_on_pentagon():

@@ -36,7 +36,7 @@ from math import comb
 from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
-from .hilbert import hilbert_series, regular_linear_system
+from .hilbert import regular_linear_system
 from .linalg import Eliminator, check_characteristic, to_field
 from .polyring import TermOrder
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
@@ -295,9 +295,9 @@ class KoszulConfig:
 def artinian_reduction(pres: IdealPresentation,
                        spair_cap: int = DEFAULT_SPAIR_CAP) -> IdealPresentation | None:
     """Quotient by a full linear system of parameters, if one is found: the
-    memoised search that gorenstein_certificate runs."""
-    hd = hilbert_series(pres, spair_cap=spair_cap)
-    found = regular_linear_system(pres, hd.krull_dim, spair_cap)
+    memoised search that gorenstein_certificate runs, which reads dim R
+    from the ring's Hilbert series."""
+    found = regular_linear_system(pres, spair_cap)
     if found is None:
         return None
     return found[1]

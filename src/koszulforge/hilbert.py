@@ -3,7 +3,10 @@
 The Hilbert numerator of a monomial ideal is computed by the pivot-splitting
 recursion Q(I) = Q(I + (x)) + t * Q(I : x) with memoization; the numerator of
 an arbitrary homogeneous ideal is that of any initial ideal (Macaulay), which
-the property suite re-checks across term orders.
+the property suite re-checks across term orders.  ``hilbert_series`` is the
+one entry point: the Krull dimension is the order of the pole of the series
+at t = 1, read off the numerator by dividing it by (1 - t) while it divides,
+and what is left is the h-vector.
 
 Regularity of a linear form is certified by the exact factor test
 H_{R/l}(t) = (1 - t) * H_R(t); an artinian reduction by a full linear system
@@ -36,9 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, MonomialIdeal,
-                       StandardAction, initial_ideal, minimal_generators,
-                       normal_form, reduced_gb)
+from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, StandardAction,
+                       initial_ideal, minimal_generators, normal_form,
+                       reduced_gb)
 from .polyring import Monomial, Polynomial, TermOrder, mono_degree, unit_mono
 from .toric import ToricIdeal
 
@@ -175,28 +178,6 @@ def _numerator(gens: frozenset) -> IntPoly:
     return poly1_add(q_plus, poly1_shift(q_colon, 1))
 
 
-def krull_dimension(ideal: MonomialIdeal) -> int:
-    """Largest variable subset meeting no generator support (branch and bound)."""
-    supports = [frozenset(v for v, e in enumerate(g) if e)
-                for g in ideal.generators]
-    if any(not s for s in supports):
-        return -1  # unit ideal: empty ring
-    memo: dict[frozenset, int] = {}
-
-    def best(allowed: frozenset) -> int:
-        hit = next((s for s in supports if s <= allowed), None)
-        if hit is None:
-            return len(allowed)
-        cached = memo.get(allowed)
-        if cached is not None:
-            return cached
-        out = max(best(allowed - {v}) for v in sorted(hit))
-        memo[allowed] = out
-        return out
-
-    return best(frozenset(range(ideal.width)))
-
-
 # ---------------------------------------------------------------------------
 # HilbertData
 # ---------------------------------------------------------------------------
@@ -233,37 +214,29 @@ class HilbertData:
                 "socle_degree": self.socle_degree}
 
 
-def hilbert_data_of_monomial_ideal(ideal: MonomialIdeal) -> HilbertData:
-    q = monomial_numerator(ideal.generators)
-    dim = krull_dimension(ideal)
-    h: IntPoly | None = q
-    for _ in range(ideal.width - dim):
-        h = poly1_div_one_minus_t(h)
-        if h is None:
-            raise InputError("dimension bug: numerator not divisible by (1-t)^codim")
-    if h and h[0] != 1:
-        raise InputError("h-vector does not start at 1 (is the ideal proper?)")
-    return HilbertData(q, ideal.width, dim, h)
-
-
 def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
                    spair_cap: int = DEFAULT_SPAIR_CAP) -> HilbertData:
-    """Hilbert data of K[Y]/I, via the initial ideal of a reduced basis."""
+    """Hilbert data of K[Y]/I, via the initial ideal of a reduced basis.
+
+    The numerator Q over (1 - t)^width is divided by (1 - t) while its
+    coefficients sum to 0; what is left is the h-vector h, with h(1) > 0,
+    and the Krull dimension is width minus the number of divisions, the
+    order of the pole at t = 1 (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).
+    The unit ideal has the zero numerator, dimension -1 and h = ().
+    """
     if not pres.homogeneous:
         raise InputError("hilbert_series expects a homogeneous ideal")
     order = order or TermOrder.grevlex(pres.width)
     gb = reduced_gb(pres, order, spair_cap=spair_cap)
-    return hilbert_data_of_monomial_ideal(initial_ideal(gb))
-
-
-def hilbert_numerator(pres: IdealPresentation,
-                      spair_cap: int = DEFAULT_SPAIR_CAP) -> IntPoly:
-    """The numerator of hilbert_series(pres), read from the initial ideal of
-    the cached grevlex basis without computing the Krull dimension."""
-    if not pres.homogeneous:
-        raise InputError("hilbert_numerator expects a homogeneous ideal")
-    gb = reduced_gb(pres, TermOrder.grevlex(pres.width), spair_cap=spair_cap)
-    return monomial_numerator(initial_ideal(gb).generators)
+    q = monomial_numerator(initial_ideal(gb).generators)
+    if not q:
+        return HilbertData((), pres.width, -1, ())
+    h, dim = q, pres.width
+    while (quotient := poly1_div_one_minus_t(h)) is not None:
+        h, dim = quotient, dim - 1
+    if h[0] != 1:
+        raise AssertionError("h-vector does not start at 1")
+    return HilbertData(q, pres.width, dim, h)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +276,8 @@ def quotient_by_linear_form(pres: IdealPresentation, ell: Polynomial,
     new_labels = tuple(pres.labels[v] for v in keep)
     new_pres = IdealPresentation(new_labels, tuple(new_gens))
     if old_numerator is None:
-        old_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
-    new_numerator = hilbert_numerator(new_pres, spair_cap=spair_cap) \
-        if new_gens else (1,)
+        old_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    new_numerator = hilbert_series(new_pres, spair_cap=spair_cap).numerator
     return new_pres, new_numerator == old_numerator
 
 
@@ -317,7 +289,7 @@ def apply_linear_forms(pres: IdealPresentation, forms: list[Polynomial],
     current = pres
     regular: list[bool] = []
     numerators: list[IntPoly] = []
-    numerator = hilbert_numerator(pres, spair_cap=spair_cap)
+    numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
     original_labels = pres.labels
     for ell in forms:
         if ell.width != len(original_labels):
@@ -335,8 +307,7 @@ def apply_linear_forms(pres: IdealPresentation, forms: list[Polynomial],
                                               spair_cap=spair_cap,
                                               old_numerator=numerator)
         regular.append(ok)
-        numerator = hilbert_numerator(current, spair_cap=spair_cap) \
-            if current.generators else (1,)
+        numerator = hilbert_series(current, spair_cap=spair_cap).numerator
         numerators.append(numerator)
     return current, regular, numerators
 
@@ -358,10 +329,10 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
     Computed degree by degree as the joint kernel of the variables acting on
     the standard monomials, the action the zero-divisor test reads too.
     """
+    if hilbert_series(pres, spair_cap=spair_cap).krull_dim != 0:
+        raise InputError("socle is defined here only for artinian quotients")
     action = StandardAction(reduced_gb(pres, TermOrder.grevlex(pres.width),
                                        spair_cap=spair_cap))
-    if krull_dimension(action.initial) != 0:
-        raise InputError("socle is defined here only for artinian quotients")
     variables = [[(v, 1)] for v in range(pres.width)]
     witnesses: list[Polynomial] = []
     by_degree: list[tuple[int, int]] = []
@@ -530,11 +501,14 @@ def zero_divisor_witness(action: StandardAction, ell: Polynomial,
     return None
 
 
-def find_regular_linear_system(pres: IdealPresentation, length: int,
+def find_regular_linear_system(pres: IdealPresentation,
                                spair_cap: int = DEFAULT_SPAIR_CAP,
                                ) -> tuple[list[Polynomial], IdealPresentation] | None:
-    """Depth-first search for ``length`` successively regular linear forms.
+    """Depth-first search for dim R successively regular linear forms, a
+    linear system of parameters of R = K[Y]/I.
 
+    One ``hilbert_series`` call gives dim R and the numerator that each
+    regular quotient keeps; an artinian R gives ([], pres) at once.
     Candidates are tried greedily in stream order, slot k drawing its random
     ones from the seed DEFAULT_LSOP_SEED + k, with backtracking when a
     prefix dead-ends; at most ``LSOP_BUDGET`` regularity tests are spent
@@ -543,11 +517,12 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
     Returns the forms (each in the ring of its own step) and the final
     quotient presentation, or None.
     """
+    start = hilbert_series(pres, spair_cap=spair_cap)
     tests = [0]
 
     def dfs(current: IdealPresentation, numerator: IntPoly, slot: int,
             ) -> tuple[list[Polynomial], IdealPresentation] | None:
-        if slot == length:
+        if slot == start.krull_dim:
             return [], current
         action = StandardAction(reduced_gb(
             current, TermOrder.grevlex(current.width), spair_cap=spair_cap))
@@ -570,17 +545,16 @@ def find_regular_linear_system(pres: IdealPresentation, length: int,
                 return [cand] + deeper[0], deeper[1]
         return None
 
-    start_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
-    return dfs(pres, start_numerator, 0)
+    return dfs(pres, start.numerator, 0)
 
 
 @lru_cache(maxsize=64)
-def regular_linear_system(pres: IdealPresentation, length: int,
-                          spair_cap: int,
+def regular_linear_system(pres: IdealPresentation, spair_cap: int,
                           ) -> tuple[tuple[Polynomial, ...], IdealPresentation] | None:
     """find_regular_linear_system, memoised per process with the forms as a
-    tuple; positional arguments, so that every caller shares one entry."""
-    found = find_regular_linear_system(pres, length, spair_cap)
+    tuple; positional arguments, so that every caller shares one entry.
+    Its length, dim R, comes from the ring itself."""
+    found = find_regular_linear_system(pres, spair_cap)
     return None if found is None else (tuple(found[0]), found[1])
 
 
@@ -603,7 +577,7 @@ def gorenstein_certificate(ideal: ToricIdeal | IdealPresentation,
         return GorensteinCertificate(
             pres, hd, "NotGorenstein",
             "asymmetric h-vector (fails the necessary symmetry test)")
-    found = regular_linear_system(pres, hd.krull_dim, spair_cap)
+    found = regular_linear_system(pres, spair_cap)
     if found is None:
         return GorensteinCertificate(
             pres, hd, "Inconclusive",

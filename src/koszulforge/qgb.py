@@ -34,8 +34,7 @@ from math import comb, prod
 from .errors import InputError, ResourceCapError
 from .exactlp import feasible_strict, nonnegative_shift
 from .groebner import DEFAULT_SPAIR_CAP, GroebnerBasis, reduced_gb
-from .hilbert import (hilbert_numerator, monomial_numerator,
-                      poly1_series_coeffs)
+from .hilbert import hilbert_series, monomial_numerator
 from .polyring import Monomial, TermOrder, pack, unit_mono
 from .toric import FiberClasses, ToricIdeal, fiber_classes
 
@@ -179,7 +178,7 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
 
     The series test starts with a count in degree 3: the distinct products
     of the marking's non-minimal members with one variable must number
-    C(n+2, 3) - HF_R(3), read once from the target numerator.  A marking
+    C(n+2, 3) - HF_R(3), read once from the ring's Hilbert series.  A marking
     that fails the count fails the full test, so the count only spares its
     numerator.
 
@@ -195,11 +194,10 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
         raise ResourceCapError(
             f"marking space {total} exceeds the cap {marking_cap}; "
             "raise --marking-cap to search anyway")
-    target_numerator = hilbert_numerator(pres, spair_cap=spair_cap)
+    target = hilbert_series(pres, spair_cap=spair_cap)
     # the degree-3 part of a matching initial ideal: all cubics but HF_R(3),
     # against the packed cubic multiples of each class member
-    cubics = (comb(width + 2, 3)
-              - poly1_series_coeffs(target_numerator, width, 3)[3])
+    cubics = comb(width + 2, 3) - target.function_values(3)[3]
     units = [pack(unit_mono(width, v)) for v in range(width)]
     multiples = [[frozenset(pack(u) + e for e in units) for u in cls]
                  for cls in fc.classes]
@@ -219,7 +217,7 @@ def _decide(ideal: ToricIdeal, marking_cap: int,
                 for k, m in enumerate(cls) if k != choice))) != cubics:
             continue
         gens = marking.nonminimal_members()
-        if monomial_numerator(gens) != target_numerator:
+        if monomial_numerator(gens) != target.numerator:
             continue
         # match: realize the marking and certify by an actual basis
         weights = nonnegative_shift(w)
@@ -289,7 +287,7 @@ def series_test_for_marking(ideal: ToricIdeal, marking: Marking,
                             spair_cap: int = DEFAULT_SPAIR_CAP) -> bool:
     """The Hilbert-series half of the cross-check: does the non-minimal
     monomial ideal match the toric ring's series?"""
-    target = hilbert_numerator(ideal.presentation, spair_cap=spair_cap)
+    target = hilbert_series(ideal.presentation, spair_cap=spair_cap).numerator
     return monomial_numerator(marking.nonminimal_members()) == target
 
 

@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .betti import KoszulConfig, koszul_verdict
-from .errors import InputError, ResourceCapError
+from .errors import ResourceCapError
 from .graphs import CLASSIFY_CAP, Graph, classify, parse_graph, stable_sets
 from .groebner import is_quadratically_generated
 from .hilbert import gorenstein_certificate, hilbert_series
@@ -63,7 +63,7 @@ def analyze(spec: str, options: KoszulConfig | None = None) -> dict:
     embdim = len(fam.sets)
     h1 = hd.h_vector[1] if len(hd.h_vector) > 1 else 0
     if h1 != embdim - hd.krull_dim:
-        raise InputError("internal inconsistency: h1 != embdim - dim")
+        raise AssertionError("internal inconsistency: h1 != embdim - dim")
 
     cert = clocked("gorenstein",
                    lambda: gorenstein_certificate(ideal,
@@ -92,7 +92,7 @@ def analyze(spec: str, options: KoszulConfig | None = None) -> dict:
         stray = [(i, j, v) for (i, j), v in verdict.table.entries.items()
                  if i == 2 and j > 2 and v]
         if stray:
-            raise InputError(
+            raise AssertionError(
                 f"internal inconsistency: quadratic ideal with beta_2j != 0: {stray}")
 
     koszul_flag = {"KoszulViaQuadraticGB": True,

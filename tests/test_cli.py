@@ -1,6 +1,7 @@
 """Command-line surface, report assembly, result cache."""
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -285,6 +286,29 @@ def test_analyze_capped_marking_search_still_reports():
     assert r["koszul"]["status"] == "NonKoszul"
     assert r["koszul"]["witness"] == [3, 4, 1]
     assert "marking search skipped" in r["koszul"]["note"]
+
+
+def test_analyze_reports_a_wrong_dimension_as_an_engine_fault(monkeypatch):
+    # h1 = embdim - dim holds for every toric ring: a breach is no input
+    # error, so it must not exit 1 with "error:"
+    real = reports.hilbert_series
+
+    def off_by_one(*args, **kwargs):
+        hd = real(*args, **kwargs)
+        return dataclasses.replace(hd, krull_dim=hd.krull_dim + 1)
+
+    monkeypatch.setattr(reports, "hilbert_series", off_by_one)
+    with pytest.raises(AssertionError, match="h1 != embdim - dim"):
+        analyze("cycle(4)")
+
+
+def test_analyze_reports_a_stray_beta_2j_as_an_engine_fault(monkeypatch):
+    # a quadratic ideal has beta_{2,j} = 0 for j > 2
+    stray = betti.KoszulVerdict(
+        "KoszulUpToBound", table=betti.BettiTable({(2, 3): 1}, 4, 5, 0))
+    monkeypatch.setattr(reports, "koszul_verdict", lambda *args: stray)
+    with pytest.raises(AssertionError, match="beta_2j != 0"):
+        analyze("cycle(4)")
 
 
 def test_analyze_searches_for_a_linear_system_once(monkeypatch):

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulforge import hilbert
 from koszulforge.errors import InputError
 from koszulforge.graphs import complete, parse_graph
 from koszulforge.groebner import IdealPresentation, monomial_ideal
 from koszulforge.hilbert import (SocleData, apply_linear_forms,
                                  gorenstein_certificate, hilbert_series,
-                                 is_socle_element, krull_dimension,
-                                 monomial_numerator, poly1_div_one_minus_t,
-                                 poly1_mul, poly1_series_coeffs,
-                                 quotient_by_linear_form, socle)
+                                 is_socle_element, monomial_numerator,
+                                 poly1_div_one_minus_t, poly1_mul,
+                                 poly1_series_coeffs, quotient_by_linear_form,
+                                 socle)
 from koszulforge.paper_suite import (cbar_ideal, expected_artinian_generators,
                                      paper_artinian_reduction,
                                      paper_linear_forms)
@@ -60,23 +61,75 @@ def test_monomial_numerator_against_brute_force(gens, width):
     assert got == brute_force_series([tuple(g) for g in gens], width, 6)
 
 
+def monomial_presentation(width, gens):
+    """K[x_1..x_width] modulo the monomials gens."""
+    return IdealPresentation(
+        tuple(f"x{v}" for v in range(width)),
+        tuple(Polynomial.monomial(tuple(g), Fraction(1)) for g in gens))
+
+
+def oracle_krull_dimension(width, gens):
+    """Brute force: the size of the largest set of variables that contains
+    no generator's support, or -1 for the unit ideal."""
+    supports = [{v for v, e in enumerate(g) if e} for g in gens]
+    if any(not s for s in supports):
+        return -1
+    return max(k for k in range(width + 1)
+               for free in itertools.combinations(range(width), k)
+               if not any(s <= set(free) for s in supports))
+
+
 def test_krull_dimension_cases():
-    assert krull_dimension(monomial_ideal(3, [])) == 3
-    assert krull_dimension(monomial_ideal(3, [(1, 1, 0)])) == 2
-    assert krull_dimension(monomial_ideal(3, [(1, 0, 0), (0, 1, 0),
-                                              (0, 0, 1)])) == 0
+    assert hilbert_series(monomial_presentation(3, [])).krull_dim == 3
+    assert hilbert_series(monomial_presentation(3, [(1, 1, 0)])).krull_dim == 2
+    assert hilbert_series(monomial_presentation(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])).krull_dim == 0
     # pentagon edge ideal: independence number of C5 is 2
     c5_edges = [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0),
                 (0, 0, 0, 1, 1), (1, 0, 0, 0, 1)]
-    assert krull_dimension(monomial_ideal(5, c5_edges)) == 2
+    assert hilbert_series(monomial_presentation(5, c5_edges)).krull_dim == 2
+
+
+def one_minus_t_power(k):
+    out = (1,)
+    for _ in range(k):
+        out = poly1_mul(out, (1, -1))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pole_order_is_the_krull_dimension(data):
+    width = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * width),
+                              max_size=6))
+    hd = hilbert_series(monomial_presentation(width, gens))
+    assert hd.krull_dim == oracle_krull_dimension(width, gens)
+    assert poly1_mul(hd.h_vector,
+                     one_minus_t_power(width - hd.krull_dim)) == hd.numerator
+
+
+def test_unit_ideal_hilbert():
+    hd = hilbert_series(monomial_presentation(3, [(0, 0, 0)]))
+    assert hd.numerator == ()
+    assert hd.krull_dim == -1
+    assert hd.h_vector == ()
 
 
 def test_zero_ideal_hilbert():
-    pres = IdealPresentation(("a", "b", "c"), ())
-    hd = hilbert_series(pres)
-    assert hd.numerator == (1,)
-    assert hd.krull_dim == 3
-    assert hd.h_vector == (1,)
+    for labels in ((), ("a", "b", "c")):
+        hd = hilbert_series(IdealPresentation(labels, ()))
+        assert hd.numerator == (1,)
+        assert hd.krull_dim == len(labels)
+        assert hd.h_vector == (1,)
+
+
+def test_an_h_vector_not_starting_at_1_is_an_engine_fault(monkeypatch):
+    # no proper homogeneous ideal has such a numerator, so this is no input
+    # error; an explicit raise holds under python -O too
+    monkeypatch.setattr(hilbert, "monomial_numerator", lambda gens: (2, -2))
+    with pytest.raises(AssertionError, match="does not start at 1"):
+        hilbert_series(monomial_presentation(2, [(1, 1)]))
 
 
 def test_heptagon_ring_hilbert():

@@ -16,6 +16,7 @@ from koszulforge.hilbert import (find_regular_linear_system,
                                  gorenstein_certificate, hilbert_series,
                                  leading_variable, quotient_by_linear_form,
                                  zero_divisor_witness)
+from koszulforge.paper_suite import paper_artinian_reduction
 from koszulforge.polyring import Polynomial, TermOrder, unit_mono
 from koszulforge.toric import monomial_map, toric_ideal
 
@@ -81,15 +82,23 @@ def test_search_output_and_budget_are_pinned(monkeypatch, spec, tests,
     # rejections included, so one fewer in the budget ends it in None; only
     # ``quotients`` of them build a quotient and its Groebner basis
     pres = toric_presentation(spec)
-    length = hilbert_series(pres).krull_dim
     calls = count_quotients(monkeypatch)
     monkeypatch.setattr(hilbert, "LSOP_BUDGET", tests)
-    found = find_regular_linear_system(pres, length)
+    found = find_regular_linear_system(pres)
     assert found is not None
     assert form_strings(pres, found[0]) == forms
     assert calls[0] == quotients
     monkeypatch.setattr(hilbert, "LSOP_BUDGET", tests - 1)
-    assert find_regular_linear_system(pres, length) is None
+    assert find_regular_linear_system(pres) is None
+
+
+def test_an_artinian_ring_needs_no_form(monkeypatch):
+    # the search reads dim 0 from the ring and builds no quotient
+    pres = paper_artinian_reduction(3)
+    assert hilbert_series(pres).krull_dim == 0
+    calls = count_quotients(monkeypatch)
+    assert find_regular_linear_system(pres) == ([], pres)
+    assert calls[0] == 0
 
 
 def test_quotient_count_of_the_ring_certificates_is_pinned(monkeypatch):
@@ -98,7 +107,7 @@ def test_quotient_count_of_the_ring_certificates_is_pinned(monkeypatch):
     calls = count_quotients(monkeypatch)
     for spec in ("complement(cycle(7))", "paper:G1", "paper:G4"):
         pres = toric_presentation(spec)
-        find_regular_linear_system(pres, hilbert_series(pres).krull_dim)
+        find_regular_linear_system(pres)
     assert calls[0] == 41
 
 
@@ -115,7 +124,7 @@ def test_small_budget_gives_an_inconclusive_certificate(monkeypatch,
                                                        fresh_search_memo):
     monkeypatch.setattr(hilbert, "LSOP_BUDGET", 3)
     pres = toric_presentation("cycle(5)")
-    assert find_regular_linear_system(pres, hilbert_series(pres).krull_dim) is None
+    assert find_regular_linear_system(pres) is None
     cert = gorenstein_certificate(pres, socle_even_if_asymmetric=True)
     assert cert.verdict == "Inconclusive"
     assert cert.linear_system == [] and cert.artinian_presentation is None

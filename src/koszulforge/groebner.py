@@ -11,40 +11,50 @@ is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
 
 Inside the engine, the division and the monomial minimalization the data
-are machine ints wherever the input lets them:
+are machine ints:
 
-* a monomial is a packed int (see polyring): the input is packed once and
-  the results unpacked once;
+* a monomial is a packed int (see polyring): the input is packed once, and
+  a basis keeps its packed form;
 * its order key is the int ``TermOrder.packed_key``, memoised per engine;
-* every engine polynomial is monic, and a coefficient is an int whenever
-  it is integral, a Fraction only when it is not.  A toric ideal, whose
-  binomials have coefficients +-1, runs on ints throughout.  The public
-  Polynomial keeps Fraction coefficients;
+* every engine polynomial is a primitive int vector (content 1) with a
+  positive leading coefficient; a Fraction input is cleared of its
+  denominators on entry.  Reduction is fraction-free: a leading term c x^u
+  is cleared by a reducer with leading term a x^v as
+  (a/g) p - (c/g) x^(u-v) g_i, g = gcd(a, c), and the product of the
+  factors a/g is kept, so that a normal form divides by it once at the
+  end.  A toric ideal, whose binomials have coefficients +-1, keeps lc = 1
+  and never scales;
 * each basis element is an (lm, terms) reducer built once, and the
   reducers of the current basis, sorted by leading key, form one list that
-  is rebuilt only when the basis changes.  A reduced basis packs its
-  reducers once, with memoised keys of its own, for every normal form
-  taken against it.
+  is rebuilt only when the basis changes.  A reduced basis keeps the
+  reducers Buchberger built, with the order keys of their monomials, for
+  its leading monomials, its initial ideal, every normal form taken
+  against it and its standard-monomial action.  Its public elements are
+  monic Polynomials over Q.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import InputError, ResourceCapError
 from .linalg import Eliminator
 from .polyring import (EXP_MAX, FIELD_BITS, Monomial, Polynomial, TermOrder,
-                       check_packed, guard_mask, mono_degree, pack,
+                       _raw, check_packed, guard_mask, mono_degree, pack,
                        packed_degree, packed_lcm, unpack)
 
 DEFAULT_SPAIR_CAP = 10 ** 6
 
-# an engine coefficient: an int when integral, else a Fraction
+# a coefficient read out of the engine: an int when integral, else a Fraction
 Coeff = int | Fraction
+# a packed, primitive engine polynomial with its leading monomial
+Reducer = tuple[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,21 @@ class GroebnerBasis:
     order: TermOrder
     elements: tuple[Polynomial, ...]
 
+    @cached_property
+    def _packed(self) -> tuple[int, "_OrderKeys", tuple[Reducer, ...]]:
+        """The guard mask, the order keys of the reducers' monomials and the
+        primitive packed (lm, terms) reducers of the elements, in their
+        order, which every reduction against the basis reads.  A basis from
+        Buchberger comes with the reducers the engine built; any other is
+        packed here."""
+        keys = _OrderKeys(self.order)
+        reducers = []
+        for g in self.elements:
+            terms = _pack_terms(g.terms)[0]
+            lm = max(terms, key=keys.__getitem__)
+            reducers.append((lm, _primitive(terms, lm)))
+        return guard_mask(self.order.width), keys, tuple(reducers)
+
     @property
     def max_degree(self) -> int:
         return max((g.degree() for g in self.elements), default=0)
@@ -97,14 +122,8 @@ class GroebnerBasis:
         return self.max_degree <= 2
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading(self.order)[0] for g in self.elements)
-
-    @cached_property
-    def _packed(self) -> tuple[int, "_OrderKeys", list]:
-        """The guard mask, the memoised order keys and the packed reducers,
-        built on first use and shared by every reduction against the basis."""
-        keys = _OrderKeys(self.order)
-        return guard_mask(self.order.width), keys, _reducers(self, keys)
+        width = self.order.width
+        return tuple(unpack(lm, width) for lm, _ in self._packed[2])
 
     def to_json(self) -> dict:
         return {"order": self.order.descriptor(),
@@ -166,28 +185,31 @@ class MonomialIdeal:
 
 
 def minimal_generators(gens) -> list[Monomial]:
-    """The divisibility-minimal members of a set of monomials, sorted.
-
-    A proper divisor has a lower degree, so in order of degree a monomial is
-    minimal iff no minimal one found before divides it.
-    """
-    gens = sorted(set(gens), key=sum)
+    """The divisibility-minimal members of a set of monomials, sorted."""
+    gens = list(gens)
     if not gens:
         return []
-    guard = guard_mask(len(gens[0]))
+    width = len(gens[0])
+    return sorted(unpack(p, width) for p in
+                  minimal_packed(map(pack, gens), guard_mask(width)))
+
+
+def minimal_packed(gens, guard: int) -> list[int]:
+    """The divisibility-minimal members of a set of packed monomials.
+
+    A proper divisor is a smaller int (b = a + (b - a)), so in increasing
+    order a monomial is minimal iff no minimal one found before divides it.
+    ``guard`` may cover more fields than the monomials use.
+    """
     kept: list[int] = []
-    minimal: list[Monomial] = []
-    for m in gens:
-        p = pack(m)
+    for p in sorted(set(gens)):
         p_guarded = p | guard
         for a in kept:
             if (p_guarded - a) & guard == guard:
                 break
         else:
             kept.append(p)
-            minimal.append(m)
-    minimal.sort()
-    return minimal
+    return kept
 
 
 def monomial_ideal(width: int, gens) -> MonomialIdeal:
@@ -200,53 +222,51 @@ def monomial_ideal(width: int, gens) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 class _OrderKeys(dict):
-    """Int order keys of packed monomials, each computed on first use."""
+    """Int order keys of packed monomials, each computed on first use.
+
+    It holds the order rather than its key closure, so that a basis, which
+    keeps one, stays picklable."""
 
     def __init__(self, order: TermOrder):
         super().__init__()
-        self.packed_key = order.packed_key
+        self.order = order
 
     def __missing__(self, p: int) -> int:
-        k = self[p] = self.packed_key(p)
+        k = self[p] = self.order.packed_key(p)
         return k
 
 
-def _coeff(c):
-    """c itself, or its numerator when it is an integral Fraction."""
-    return c.numerator if c.denominator == 1 else c
+def _pack_terms(terms: dict[Monomial, Fraction]) -> tuple[dict[int, int], int]:
+    """The packed terms of a polynomial times the least common denominator
+    of its coefficients, and that denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return ({pack(m): c.numerator * (den // c.denominator)
+             for m, c in terms.items()}, den)
 
 
-def _pack_terms(terms: dict[Monomial, Fraction]) -> dict[int, Coeff]:
-    return {pack(m): _coeff(c) for m, c in terms.items()}
+def _primitive(terms: dict[int, int], lm: int) -> dict[int, int]:
+    """terms divided by their content, the coefficient at lm made positive."""
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    return terms if g == 1 else {m: c // g for m, c in terms.items()}
 
 
-def _unpack_terms(terms: dict[int, Coeff], width: int) -> dict[Monomial, Coeff]:
-    return {unpack(m, width): c for m, c in terms.items()}
+def _quotient(c: int, scale: int) -> Coeff:
+    """c / scale, an int when it is integral."""
+    return c // scale if c % scale == 0 else Fraction(c, scale)
 
 
-def _monic(terms: dict[int, Coeff], lm: int) -> dict[int, Coeff]:
-    """terms divided by their coefficient at lm, an integral quotient as an
-    int."""
-    lc = terms[lm]
-    if lc == 1 and all(c.__class__ is int for c in terms.values()):
-        return terms
-    return {m: _coeff(Fraction(c, lc)) for m, c in terms.items()}
+def _reduce_dict(f: dict[int, int], reducers: Sequence[Reducer],
+                 keys: _OrderKeys, guard: int) -> tuple[dict[int, int], int]:
+    """Full normal form of the packed int term dict f against primitive
+    (lm, terms) reducers, the first divisor in list order reducing.
 
-
-def _reducers(gb: GroebnerBasis, keys: _OrderKeys) -> list[tuple[int, dict]]:
-    """The basis as packed, monic (lm, terms) reducers."""
-    out = []
-    for g in gb.elements:
-        terms = _pack_terms(g.terms)
-        lm = max(terms, key=keys.__getitem__)
-        out.append((lm, _monic(terms, lm)))
-    return out
-
-
-def _reduce_dict(f: dict[int, Coeff], reducers: list[tuple[int, dict]],
-                 keys: _OrderKeys, guard: int) -> dict[int, Coeff]:
-    """Full normal form of the packed term dict f against monic (lm, terms)
-    reducers, the first divisor in list order reducing.
+    Fraction-free: a leading term c x^u is cleared by a reducer with leading
+    term a x^v as (a/g) p - (c/g) x^(u-v) g_i with g = gcd(a, c), the
+    remainder found so far scaled by a/g too.  Returns (r, scale): scale > 0
+    is the product of those factors and r / scale is the remainder of f.
+    The leading term is popped from a heap of order keys.
 
     A product whose exponent overflowed its field is an exact but flagged
     key: it is only compared until it leads, and is checked then, so every
@@ -254,30 +274,52 @@ def _reduce_dict(f: dict[int, Coeff], reducers: list[tuple[int, dict]],
     """
     key = keys.__getitem__
     p = dict(f)
-    remainder: dict[int, Coeff] = {}
-    while p:
-        lm = max(p, key=key)
+    heap = [(-key(m), m) for m in p]
+    heapify(heap)
+    remainder: dict[int, int] = {}
+    scale = 1
+    while heap:
+        lm = heappop(heap)[1]
+        lc = p.get(lm)
+        if lc is None:
+            # cancelled since it was pushed
+            continue
         if lm & guard:
             check_packed(lm, guard)
-        lc = p[lm]
         # glm | lm, with the guard bits of lm set once for the whole scan
         lm_guarded = lm | guard
         for glm, gterms in reducers:
             if (lm_guarded - glm) & guard == guard:
                 break
         else:
-            remainder[lm] = lc
-            del p[lm]
+            remainder[lm] = p.pop(lm)
             continue
+        a = gterms[glm]
+        if a != 1:
+            g = gcd(a, lc)
+            a, lc = a // g, lc // g
+            if a != 1:
+                scale *= a
+                for m in p:
+                    p[m] *= a
+                for m in remainder:
+                    remainder[m] *= a
         shift = lm - glm
+        # p[lm], as scaled, is lc times the reducer's leading coefficient,
+        # so the term at lm cancels
         for m, c in gterms.items():
             mm = m + shift
-            s = p.get(mm, 0) - lc * c
+            old = p.get(mm)
+            if old is None:
+                p[mm] = -lc * c
+                heappush(heap, (-key(mm), mm))
+                continue
+            s = old - lc * c
             if s:
                 p[mm] = s
             else:
                 del p[mm]
-    return remainder
+    return remainder, scale
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -286,8 +328,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.width != width:
         raise InputError("polynomial and basis live in different rings")
     guard, keys, reducers = gb._packed
-    reduced = _reduce_dict(_pack_terms(f.terms), reducers, keys, guard)
-    return Polynomial(width, _unpack_terms(reduced, width))
+    terms, den = _pack_terms(f.terms)
+    reduced, scale = _reduce_dict(terms, reducers, keys, guard)
+    scale *= den
+    return Polynomial(width, {unpack(m, width): Fraction(c, scale)
+                              for m, c in reduced.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +340,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    """Buchberger state over packed monomials and monic polynomials."""
+    """Buchberger state over packed monomials and primitive int polynomials."""
 
     def __init__(self, order: TermOrder, spair_cap: int):
         self.width = order.width
@@ -306,20 +351,20 @@ class _Engine:
         self.processed = 0
         # each element as an (lm, terms) reducer, built once, and the
         # reducers of G by leading key, rebuilt only after G changes
-        self.reducers: list[tuple[int, dict[int, Coeff]]] = []
+        self.reducers: list[Reducer] = []
         self.lms: list[int] = []
         self.lm_keys: list[int] = []
         self.G: set[int] = set()
-        self._by_leading: list[tuple[int, dict]] | None = None
+        self._by_leading: list[Reducer] | None = None
         # live pairs with the lcm of their leading monomials; the heap holds
         # every pair ever created, and a pair once dropped from B never
         # returns, so popping skips the dead ones
         self.B: dict[tuple[int, int], int] = {}
         self.heap: list = []
 
-    def add_poly(self, terms: dict[int, Coeff]) -> int:
+    def add_poly(self, terms: dict[int, int]) -> int:
         lm = max(terms, key=self.key)
-        self.reducers.append((lm, _monic(terms, lm)))
+        self.reducers.append((lm, _primitive(terms, lm)))
         self.lms.append(lm)
         self.lm_keys.append(self.key(lm))
         return len(self.lms) - 1
@@ -327,7 +372,7 @@ class _Engine:
     def by_leading(self, indices) -> list[int]:
         return sorted(indices, key=self.lm_keys.__getitem__)
 
-    def basis_reducers(self) -> list[tuple[int, dict]]:
+    def basis_reducers(self) -> list[Reducer]:
         """The reducers of G, by leading key."""
         if self._by_leading is None:
             self._by_leading = [self.reducers[i] for i in self.by_leading(self.G)]
@@ -366,8 +411,8 @@ class _Engine:
         for ig in E:
             pair, lcm = (ih, ig), lcm_h[ig]
             B[pair] = lcm
-            heapq.heappush(self.heap, (packed_degree(lcm, self.width),
-                                       self.key(lcm), pair))
+            heappush(self.heap, (packed_degree(lcm, self.width),
+                                 self.key(lcm), pair))
         self.G = {ig for ig in self.G
                   if ((lms[ig] | guard) - mh) & guard != guard}
         self.G.add(ih)
@@ -376,21 +421,24 @@ class _Engine:
     def pop_pair(self) -> tuple[tuple[int, int], int]:
         """The live pair whose lcm is least by (degree, order key, pair)."""
         while True:
-            pair = heapq.heappop(self.heap)[2]
+            pair = heappop(self.heap)[2]
             lcm = self.B.pop(pair, None)
             if lcm is not None:
                 return pair, lcm
 
-    def spoly(self, i: int, j: int, lcm: int) -> dict[int, Coeff]:
-        """The S-polynomial, whose terms _reduce_dict checks as they lead."""
+    def spoly(self, i: int, j: int, lcm: int) -> dict[int, int]:
+        """The S-polynomial (a_j/g) x^si f_i - (a_i/g) x^sj f_j over the
+        leading coefficients a and g = gcd(a_i, a_j), whose terms
+        _reduce_dict checks as they lead."""
         (lm_i, terms_i), (lm_j, terms_j) = self.reducers[i], self.reducers[j]
         si, sj = lcm - lm_i, lcm - lm_j
-        out: dict[int, Coeff] = {}
-        for m, c in terms_i.items():
-            out[m + si] = c
+        a_i, a_j = terms_i[lm_i], terms_j[lm_j]
+        g = gcd(a_i, a_j)
+        a_i, a_j = a_i // g, a_j // g
+        out = {m + si: a_j * c for m, c in terms_i.items()}
         for m, c in terms_j.items():
             mm = m + sj
-            s = out.get(mm, 0) - c
+            s = out.get(mm, 0) - a_i * c
             if s:
                 out[mm] = s
             else:
@@ -423,17 +471,17 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     # inter-reduce the input before starting; each element is reduced only
     # against already-kept ones, so content is never lost to mutual
     # cancellation, and we iterate to a fixpoint
-    current = [_pack_terms(g.terms) for g in pres.generators]
+    current = [_pack_terms(g.terms)[0] for g in pres.generators]
     while True:
-        kept: list[tuple[int, dict]] = []
+        kept: list[Reducer] = []
         changed = False
         for p in current:
-            r = _reduce_dict(p, kept, eng.keys, eng.guard)
+            r = _reduce_dict(p, kept, eng.keys, eng.guard)[0]
             if r != p:
                 changed = True
             if r:
                 lm = max(r, key=eng.key)
-                kept.append((lm, _monic(r, lm)))
+                kept.append((lm, _primitive(r, lm)))
         current = [q for _, q in kept]
         if not changed:
             break
@@ -454,7 +502,7 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
         s = eng.spoly(*pair, lcm)
         if not s:
             continue
-        h = _reduce_dict(s, eng.basis_reducers(), eng.keys, eng.guard)
+        h = _reduce_dict(s, eng.basis_reducers(), eng.keys, eng.guard)[0]
         if h:
             eng.update(eng.add_poly(h))
 
@@ -469,18 +517,28 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
                 break
         else:
             minimal.append(i)
-    final: list[tuple[int, dict[int, Coeff]]] = []
+    final: list[Reducer] = []
     for i in minimal:
         others = [eng.reducers[j] for j in minimal if j != i]
-        r = _reduce_dict(eng.reducers[i][1], others, eng.keys, guard)
+        r = _reduce_dict(eng.reducers[i][1], others, eng.keys, guard)[0]
         if not r:
             raise AssertionError("minimal basis element reduced to zero")
-        lm = max(r, key=eng.key)
-        final.append((lm, _monic(r, lm)))
+        # no other leading monomial divides lms[i], so it still leads
+        final.append((lms[i], _primitive(r, lms[i])))
     final.sort(key=lambda item: eng.key(item[0]))
-    return GroebnerBasis(order, tuple(
-        Polynomial(pres.width, _unpack_terms(terms, pres.width))
-        for _, terms in final))
+    width = pres.width
+    gb = GroebnerBasis(order, tuple(
+        _raw(width, {unpack(m, width): Fraction(c, terms[lm])
+                     for m, c in terms.items()})
+        for lm, terms in final))
+    # hand the engine's reducers over in place of packing the elements
+    # again, with the order keys of their own monomials only
+    keys = _OrderKeys(order)
+    for _, terms in final:
+        for m in terms:
+            keys[m] = eng.keys[m]
+    gb.__dict__["_packed"] = (guard, keys, tuple(final))
+    return gb
 
 
 def is_quadratically_generated(pres: IdealPresentation,
@@ -514,8 +572,9 @@ def spolynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """Initial ideal of a reduced basis; generators are already minimal."""
-    return monomial_ideal(gb.order.width, gb.leading_monomials())
+    """Initial ideal of a reduced basis: its leading monomials, which are
+    already minimal."""
+    return MonomialIdeal(gb.order.width, tuple(sorted(gb.leading_monomials())))
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +695,9 @@ class StandardAction:
                 # a product outside the initial ideal is its own normal form
                 cols.append({target[prod]: 1})
             else:
-                nf = _reduce_dict({prod: 1}, reducers, keys, guard)
-                cols.append({target[m]: _coeff(c) for m, c in nf.items()})
+                nf, scale = _reduce_dict({prod: 1}, reducers, keys, guard)
+                cols.append({target[m]: _quotient(c, scale)
+                             for m, c in nf.items()})
         return tuple(cols)
 
 

@@ -1,12 +1,15 @@
 """Hilbert series, h-vectors, regular sequences, socles, Gorenstein certificates.
 
 The Hilbert numerator of a monomial ideal is computed by the pivot-splitting
-recursion Q(I) = Q(I + (x)) + t * Q(I : x) with memoization; the numerator of
-an arbitrary homogeneous ideal is that of any initial ideal (Macaulay), which
-the property suite re-checks across term orders.  ``hilbert_series`` is the
-one entry point: the Krull dimension is the order of the pole of the series
-at t = 1, read off the numerator by dividing it by (1 - t) while it divides,
-and what is left is the h-vector.
+recursion Q(I) = Q(I + (x)) + t * Q(I : x) on packed monomials (see
+polyring), memoised on the set of packed ints, a key that does not depend
+on the ring's width; the numerator of an arbitrary homogeneous ideal is
+that of any initial ideal (Macaulay), which the property suite re-checks
+across term orders, and ``hilbert_series`` reads it off the leading
+monomials that the engine's reduced basis keeps.  ``hilbert_series`` is
+the one entry point: the Krull dimension is the order of the pole of the
+series at t = 1, read off the numerator by dividing it by (1 - t) while it
+divides, and what is left is the h-vector.
 
 Regularity of a linear form is certified by the exact factor test
 H_{R/l}(t) = (1 - t) * H_R(t); an artinian reduction by a full linear system
@@ -38,11 +41,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, StandardAction,
-                       initial_ideal, minimal_generators, normal_form,
-                       reduced_gb)
-from .polyring import Monomial, Polynomial, TermOrder, mono_degree, unit_mono
+                       minimal_packed, normal_form, reduced_gb)
+from .polyring import (EXP_BITS, FIELD_BITS, FIELD_MAX, Polynomial, TermOrder,
+                       guard_mask, pack, packed_degree, unit_mono, unpack)
 from .toric import ToricIdeal
 
 IntPoly = tuple[int, ...]  # coefficient list in t, constant term first
@@ -136,45 +139,63 @@ def monomial_numerator(gens) -> IntPoly:
     """Numerator Q(t) with H(K[x_1..x_m]/I) = Q(t) / (1-t)^m.
 
     Q does not depend on the ambient width, only on the generators."""
-    return _numerator(frozenset(minimal_generators(gens)))
+    gens = list(gens)
+    if not gens:
+        return (1,)
+    return _numerator(frozenset(minimal_packed(map(pack, gens),
+                                               guard_mask(len(gens[0])))))
 
 
 @lru_cache(maxsize=2 ** 16)
-def _numerator(gens: frozenset) -> IntPoly:
+def _numerator(gens: frozenset[int]) -> IntPoly:
+    """Q(t) of the ideal of a minimal set of packed monomials.
+
+    The memo key does not depend on the width, because trailing zero fields
+    do not change a packed monomial.  The supports are pairwise coprime iff
+    each generator's support mask misses the OR of those before it, and the
+    series then factors; otherwise the pivot is the variable that most
+    generators involve (the first such), and
+    Q(I) = Q(I + (x)) + t * Q(I : x).
+    """
     if not gens:
         return (1,)
-    lst = sorted(gens)
-    width = len(lst[0])
-    if any(mono_degree(g) == 0 for g in lst):
+    if 0 in gens:
         return ()
-    # pairwise coprime supports: the series factors
-    supports = [frozenset(v for v, e in enumerate(g) if e) for g in lst]
-    if all(supports[i].isdisjoint(supports[j])
-           for i in range(len(lst)) for j in range(i + 1, len(lst))):
+    if len(gens) > FIELD_MAX:
+        raise ResourceCapError(
+            f"{len(gens)} generators overflow the packed variable counts")
+    fields = -(-max(gens).bit_length() // FIELD_BITS)
+    guard = guard_mask(fields)
+    # the guard bit of each field set where the generator's exponent is > 0
+    ones = guard >> EXP_BITS
+    supports = [((p | guard) - ones) & guard for p in gens]
+    seen = 0
+    for mask in supports:
+        if mask & seen:
+            break
+        seen |= mask
+    else:
         out: IntPoly = (1,)
-        for g in lst:
-            one_minus = poly1_sub((1,), poly1_shift((1,), mono_degree(g)))
-            out = poly1_mul(out, one_minus)
+        for p in gens:
+            degree = packed_degree(p, fields)
+            out = poly1_mul(out, poly1_sub((1,), poly1_shift((1,), degree)))
         return out
-    # pivot on the most shared variable
-    counts = [0] * width
-    for s in supports:
-        for v in s:
-            counts[v] += 1
-    pivot = max(range(width), key=lambda v: counts[v])
-    pv = unit_mono(width, pivot)
-    plus: list[Monomial] = [pv]
-    colon: list[Monomial] = []
-    for g in lst:
-        if g[pivot] == 0:
-            plus.append(g)
-            colon.append(g)
+    # a field of the sum counts the generators that involve its variable
+    counts = unpack(sum(mask >> EXP_BITS for mask in supports), fields)
+    pivot = counts.index(max(counts))
+    unit = 1 << (FIELD_BITS * pivot)
+    involved = unit << EXP_BITS
+    # I + (x) stays minimal: its other generators do not involve x
+    plus = [unit]
+    colon = []
+    for p, mask in zip(gens, supports):
+        if mask & involved:
+            colon.append(p - unit)
         else:
-            reduced = list(g)
-            reduced[pivot] -= 1
-            colon.append(tuple(reduced))
-    q_plus = _numerator(frozenset(minimal_generators(plus)))
-    q_colon = _numerator(frozenset(minimal_generators(colon)))
+            plus.append(p)
+            colon.append(p)
+    q_plus = _numerator(frozenset(plus))
+    q_colon = _numerator(frozenset(minimal_packed(colon, guard)))
     return poly1_add(q_plus, poly1_shift(q_colon, 1))
 
 
@@ -228,7 +249,7 @@ def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
         raise InputError("hilbert_series expects a homogeneous ideal")
     order = order or TermOrder.grevlex(pres.width)
     gb = reduced_gb(pres, order, spair_cap=spair_cap)
-    q = monomial_numerator(initial_ideal(gb).generators)
+    q = monomial_numerator(gb.leading_monomials())
     if not q:
         return HilbertData((), pres.width, -1, ())
     h, dim = q, pres.width
@@ -416,9 +437,10 @@ LSOP_BUDGET = 600
 
 def lsop_candidates(labels: tuple[str, ...], seed: int):
     """Deterministic stream of degree-1 candidates for a linear system of
-    parameters: the empty-set variable, vertex-minus-disjoint-edge
-    differences, vertex-minus-vertex differences, bare variables, then
-    ``LSOP_RANDOM_CANDIDATES`` seeded small-integer combinations.
+    parameters, each built when it is drawn: the empty-set variable,
+    vertex-minus-disjoint-edge differences, vertex-minus-vertex
+    differences, bare variables, then ``LSOP_RANDOM_CANDIDATES`` seeded
+    small-integer combinations.
 
     Differences are ordered by cyclic distance from the vertex so that
     successor-style pairings (the ones that work for the cycle-complement
@@ -431,10 +453,9 @@ def lsop_candidates(labels: tuple[str, ...], seed: int):
     def var(i: int) -> Polynomial:
         return Polynomial.variable(width, i)
 
-    emitted = []
     for i, s in enumerate(subsets):
         if s == ():
-            emitted.append(var(i))
+            yield var(i)
     singles = [(i, s) for i, s in enumerate(subsets) if s is not None and len(s) == 1]
     bigger = [(i, s) for i, s in enumerate(subsets) if s is not None and len(s) >= 2]
     # round-robin across vertices, each vertex offering its cyclically
@@ -448,7 +469,7 @@ def lsop_candidates(labels: tuple[str, ...], seed: int):
     for rnd in range(max((len(es) for es in per_vertex), default=0)):
         for (i, _), edges in zip(singles, per_vertex):
             if rnd < len(edges):
-                emitted.append(var(i) - var(edges[rnd]))
+                yield var(i) - var(edges[rnd])
     pairs = []
     for a in range(len(singles)):
         for b in range(len(singles)):
@@ -456,12 +477,11 @@ def lsop_candidates(labels: tuple[str, ...], seed: int):
                 va, vb = singles[a][1][0], singles[b][1][0]
                 pairs.append(((vb - va) % top, va, singles[a][0], singles[b][0]))
     for _, _, ia, ib in sorted(pairs):
-        emitted.append(var(ia) - var(ib))
+        yield var(ia) - var(ib)
     for j, _ in bigger:
-        emitted.append(var(j))
+        yield var(j)
     for i in range(width):
-        emitted.append(var(i))
-    yield from emitted
+        yield var(i)
     rng = random.Random(seed)
     for _ in range(LSOP_RANDOM_CANDIDATES):
         coeffs = [Fraction(rng.choice([-2, -1, 0, 1, 1, 2])) for _ in range(width)]
@@ -508,7 +528,8 @@ def find_regular_linear_system(pres: IdealPresentation,
     linear system of parameters of R = K[Y]/I.
 
     One ``hilbert_series`` call gives dim R and the numerator that each
-    regular quotient keeps; an artinian R gives ([], pres) at once.
+    regular quotient keeps; an artinian R gives ([], pres) at once, and
+    the unit ideal (dim -1) None at once.
     Candidates are tried greedily in stream order, slot k drawing its random
     ones from the seed DEFAULT_LSOP_SEED + k, with backtracking when a
     prefix dead-ends; at most ``LSOP_BUDGET`` regularity tests are spent
@@ -518,6 +539,9 @@ def find_regular_linear_system(pres: IdealPresentation,
     quotient presentation, or None.
     """
     start = hilbert_series(pres, spair_cap=spair_cap)
+    if start.krull_dim < 0:
+        # the unit ideal has no linear system of parameters
+        return None
     tests = [0]
 
     def dfs(current: IdealPresentation, numerator: IntPoly, slot: int,

@@ -478,19 +478,25 @@ class Polynomial:
         """Substitute ``replacement`` for the variable at ``index``.
 
         The result lives in the same width; the caller is responsible for
-        dropping the now-unused coordinate if desired.
+        dropping the now-unused coordinate if desired.  Every term expands
+        into one dict, each power of the replacement computed once.
         """
         self._require_same_width(replacement)
-        out = Polynomial.zero(self.width)
+        powers = [{mono_one(self.width): Fraction(1)}]
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m[index]
-            rest = list(m)
-            rest[index] = 0
-            part = Polynomial.monomial(tuple(rest), c)
-            if e:
-                part = part * (replacement ** e)
-            out = out + part
-        return out
+            while len(powers) <= e:
+                powers.append((_raw(self.width, powers[-1]) * replacement).terms)
+            rest = m[:index] + (0,) + m[index + 1:]
+            for rm, rc in powers[e].items():
+                mm = mono_mul(rest, rm)
+                s = out.get(mm, 0) + c * rc
+                if s:
+                    out[mm] = s
+                else:
+                    del out[mm]
+        return _raw(self.width, out)
 
     def project(self, keep: Iterable[int]) -> "Polynomial":
         """Re-express in the sub-ring on ``keep`` (all other exponents must be 0)."""

@@ -44,6 +44,18 @@ def test_certificate_fixture_golden(name, verdict):
     assert got["verdict"] == verdict
 
 
+def test_certificate_cycle6_golden():
+    # the seeded candidates are dense forms with coefficients up to +-2, so
+    # this pins the reductions that scale their remainders
+    from koszulforge.graphs import parse_graph
+    from koszulforge.hilbert import gorenstein_certificate
+    from koszulforge.toric import monomial_map, toric_ideal
+    ideal = toric_ideal(monomial_map(parse_graph("cycle(6)")))
+    got = gorenstein_certificate(ideal).to_json()
+    assert dump(got) == dump(load("certificate_cycle6"))
+    assert got["verdict"] == "Gorenstein"
+
+
 def test_betti_cbar3_golden():
     from koszulforge.betti import betti_table, graded_basis
     from koszulforge.paper_suite import paper_artinian_reduction

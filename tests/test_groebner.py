@@ -297,6 +297,126 @@ def test_standard_action_columns_are_normal_forms(case):
                 assert read == normal_form(product, gb)
 
 
+# ---------------------------------------------------------------------------
+# the fraction-free engine against a monic Fraction reference
+# ---------------------------------------------------------------------------
+
+def ref_leading(f, order):
+    return max(f, key=order.key)
+
+
+def ref_monic(f, order):
+    lc = f[ref_leading(f, order)]
+    return {m: c / lc for m, c in f.items()}
+
+
+def ref_reduce(f, basis, order):
+    """Full remainder of a {monomial: Fraction} dict on division by monic
+    dicts, the first divisor in list order reducing."""
+    p, remainder = dict(f), {}
+    while p:
+        lm = ref_leading(p, order)
+        c = p[lm]
+        for g in basis:
+            glm = ref_leading(g, order)
+            if mono_divides(glm, lm):
+                break
+        else:
+            remainder[lm] = p.pop(lm)
+            continue
+        shift = tuple(a - b for a, b in zip(lm, glm))
+        for m, d in g.items():
+            mm = tuple(a + b for a, b in zip(m, shift))
+            rest = p.get(mm, 0) - c * d
+            if rest:
+                p[mm] = rest
+            else:
+                del p[mm]
+    return remainder
+
+
+def ref_reduced_gb(gens, order):
+    """Plain Buchberger on monic Fraction dicts, every pair reduced, then
+    minimalized and tail-reduced: the reduced basis as a set of term sets."""
+    basis = [ref_monic(g, order) for g in gens]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        lf, lg = ref_leading(f, order), ref_leading(g, order)
+        lcm = tuple(map(max, lf, lg))
+        s = {}
+        for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+            shift = tuple(a - b for a, b in zip(lcm, lh))
+            for m, c in h.items():
+                mm = tuple(a + b for a, b in zip(m, shift))
+                s[mm] = s.get(mm, 0) + sign * c
+        h = ref_reduce({m: c for m, c in s.items() if c}, basis, order)
+        if h:
+            basis.append(ref_monic(h, order))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for g in basis:
+        lg = ref_leading(g, order)
+        if not any(mono_divides(ref_leading(h, order), lg) for h in minimal):
+            minimal = [h for h in minimal
+                       if not mono_divides(lg, ref_leading(h, order))] + [g]
+    return [ref_monic(ref_reduce(g, [h for h in minimal if h is not g], order),
+                      order) for g in minimal]
+
+
+HALVES = [Fraction(c, 2) for c in (-3, -2, -1, 1, 2, 3)] + [Fraction(2), Fraction(-2)]
+
+
+@st.composite
+def half_integral_ideals(draw):
+    """Homogeneous ideals in 3-5 variables with coefficients in
+    {+-1, +-2, +-1/2, +-3/2}, a random global order and a random polynomial
+    to reduce."""
+    width = draw(st.integers(3, 5))
+    ranking = draw(st.permutations(range(width)))
+    order = draw(st.sampled_from([TermOrder.grevlex(width, ranking),
+                                  TermOrder.lex(width, ranking)]))
+
+    def polynomial(degree, size):
+        monomial = st.lists(st.integers(0, width - 1), min_size=degree,
+                            max_size=degree).map(
+            lambda vs: tuple(vs.count(v) for v in range(width)))
+        monos = draw(st.lists(monomial, min_size=1, max_size=size, unique=True))
+        coeffs = draw(st.lists(st.sampled_from(HALVES), min_size=len(monos),
+                               max_size=len(monos)))
+        return Polynomial(width, dict(zip(monos, coeffs)))
+
+    gens = [polynomial(draw(st.integers(1, 2)), 3)
+            for _ in range(draw(st.integers(1, 3)))]
+    labels = tuple(f"x{i}" for i in range(width))
+    f = polynomial(draw(st.integers(1, 3)), 5)
+    return IdealPresentation(labels, tuple(gens)), order, f
+
+
+@given(half_integral_ideals())
+@settings(max_examples=60, deadline=None)
+def test_fraction_free_engine_matches_the_fraction_reference(case):
+    # the engine reduces on primitive ints and divides by the accumulated
+    # scale once; the reference divides by each leading coefficient as it
+    # goes, so any scale lost on the way shows as a different remainder
+    pres, order, f = case
+    gb = reduced_gb(pres, order)
+    ref = ref_reduced_gb([g.terms for g in pres.generators], order)
+    assert ({frozenset(g.terms.items()) for g in gb.elements}
+            == {frozenset(g.items()) for g in ref})
+    assert normal_form(f, gb).terms == ref_reduce(f.terms, ref, order)
+    action = StandardAction(gb)
+    width = pres.width
+    for d in range(3):
+        target = action.basis(d + 1)
+        for v in range(width):
+            for mono, col in zip(action.basis(d), action.column(d, v)):
+                product = tuple(e + (u == v) for u, e in enumerate(mono))
+                assert ({target[b]: c for b, c in col.items()}
+                        == ref_reduce({product: Fraction(1)}, ref, order))
+
+
 def test_standard_action_columns_hold_ints_on_a_toric_ring(heptagon_gb):
     # a toric ideal has a basis of binomials with unit coefficients, so every
     # normal form of a monomial, and every column entry, is an int
@@ -320,6 +440,21 @@ def test_reduced_gb_keeps_fractional_coefficients():
     assert all(g.leading(gb.order)[1] == 1 for g in gb.elements)
     x2 = Polynomial.monomial((2, 0, 0))
     assert normal_form(parse_polynomial("x*y", labels), gb) == x2 * Fraction(-1, 3)
+
+
+def test_a_used_basis_pickles():
+    # a basis keeps its packed reducers and order keys; the keys hold the
+    # order, whose key closure is dropped and rebuilt
+    import pickle
+    labels = ("x", "y", "z")
+    pres = IdealPresentation(labels, tuple(
+        parse_polynomial(g, labels) for g in ("x*y - z^2", "2*x^2 - y*z")))
+    gb = reduced_gb(pres, TermOrder.grevlex(3))
+    f = parse_polynomial("x^3 + y^3", labels)
+    expected = normal_form(f, gb)
+    back = pickle.loads(pickle.dumps(gb))
+    assert back == gb
+    assert normal_form(f, back) == expected
 
 
 def test_reduced_gb_memoized_with_or_without_spair_cap(heptagon):

@@ -61,6 +61,42 @@ def test_monomial_numerator_against_brute_force(gens, width):
     assert got == brute_force_series([tuple(g) for g in gens], width, 6)
 
 
+@st.composite
+def monomial_gens(draw):
+    width = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    gens = draw(st.lists(exps.map(tuple), max_size=5))
+    return gens, width
+
+
+@given(monomial_gens())
+@settings(max_examples=60, deadline=None)
+def test_packed_numerator_against_brute_force(case):
+    gens, width = case
+    got = poly1_series_coeffs(monomial_numerator(gens), width, 6)
+    assert got == brute_force_series(gens, width, 6)
+
+
+def test_padded_generators_share_the_memo_entry():
+    # trailing zero fields leave a packed monomial as it is, so the padded
+    # ideal is the same memo key
+    gens = [(2, 1, 0), (0, 1, 3), (1, 0, 2)]
+    numerator = monomial_numerator(gens)
+    before = hilbert._numerator.cache_info()
+    padded = monomial_numerator([g + (0, 0) for g in gens])
+    after = hilbert._numerator.cache_info()
+    assert padded == numerator
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
+
+
+def test_a_degree_0_generator_gives_the_zero_numerator():
+    assert monomial_numerator([(0, 0)]) == ()
+    assert monomial_numerator([(0, 0, 0), (1, 2, 0)]) == ()
+    assert monomial_numerator([(1, 0), (0, 0), (0, 1)]) == ()
+    assert monomial_numerator([]) == (1,)
+
+
 def monomial_presentation(width, gens):
     """K[x_1..x_width] modulo the monomials gens."""
     return IdealPresentation(

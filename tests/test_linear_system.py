@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from koszulforge import hilbert
 from koszulforge.errors import InputError
 from koszulforge.graphs import parse_graph
-from koszulforge.groebner import StandardAction, normal_form, reduced_gb
+from koszulforge.groebner import (IdealPresentation, StandardAction,
+                                  normal_form, reduced_gb)
 from koszulforge.hilbert import (find_regular_linear_system,
                                  gorenstein_certificate, hilbert_series,
                                  leading_variable, quotient_by_linear_form,
@@ -98,6 +99,16 @@ def test_an_artinian_ring_needs_no_form(monkeypatch):
     assert hilbert_series(pres).krull_dim == 0
     calls = count_quotients(monkeypatch)
     assert find_regular_linear_system(pres) == ([], pres)
+    assert calls[0] == 0
+
+
+def test_the_unit_ideal_ends_the_search_at_once(monkeypatch):
+    # dim -1 is no length a linear system can have, so the search gives up
+    # before building any quotient
+    pres = IdealPresentation(("x", "y"), (Polynomial.constant(2, 1),))
+    assert hilbert_series(pres).krull_dim == -1
+    calls = count_quotients(monkeypatch)
+    assert find_regular_linear_system(pres) is None
     assert calls[0] == 0
 
 

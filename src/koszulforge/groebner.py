@@ -10,6 +10,13 @@ pairs wait in a heap; a pair the criteria discard later is skipped when it
 is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
 
+The same update resumes a finished basis: the grevlex basis of a quotient
+R/(l) whose presentation records its origin (R, l) starts from the reduced
+basis of R, its pairs all processed, plus l, and processes only the new
+pairs.  The element led by the leading variable of l is then dropped and
+that variable projected out of the others (see ``_resume``).  One memo, that
+of ``reduced_gb``, holds both kinds of basis.
+
 Inside the engine, the division and the monomial minimalization the data
 are machine ints:
 
@@ -36,7 +43,7 @@ are machine ints:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
@@ -45,9 +52,9 @@ from math import gcd, lcm
 
 from .errors import InputError, ResourceCapError
 from .linalg import Eliminator
-from .polyring import (EXP_MAX, FIELD_BITS, Monomial, Polynomial, TermOrder,
-                       _raw, check_packed, guard_mask, mono_degree, pack,
-                       packed_degree, packed_lcm, unpack)
+from .polyring import (EXP_MAX, FIELD_BITS, FIELD_MAX, Monomial, Polynomial,
+                       TermOrder, _raw, check_packed, guard_mask, mono_degree,
+                       pack, packed_degree, packed_lcm, unpack)
 
 DEFAULT_SPAIR_CAP = 10 ** 6
 
@@ -59,10 +66,18 @@ Reducer = tuple[int, dict[int, int]]
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """A list of generators in a labelled polynomial ring."""
+    """A list of generators in a labelled polynomial ring.
+
+    ``origin`` is (R, l) when the generators are those of R with the leading
+    variable of the linear form l substituted away (see
+    hilbert.quotient_by_linear_form): the grevlex basis is then resumed from
+    that of R.  Equality, hashing, repr and JSON ignore it.
+    """
 
     labels: tuple[str, ...]
     generators: tuple[Polynomial, ...]
+    origin: tuple[IdealPresentation, Polynomial] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
@@ -364,10 +379,23 @@ class _Engine:
 
     def add_poly(self, terms: dict[int, int]) -> int:
         lm = max(terms, key=self.key)
-        self.reducers.append((lm, _primitive(terms, lm)))
-        self.lms.append(lm)
-        self.lm_keys.append(self.key(lm))
+        return self.add_reducer((lm, _primitive(terms, lm)))
+
+    def add_reducer(self, reducer: Reducer) -> int:
+        self.reducers.append(reducer)
+        self.lms.append(reducer[0])
+        self.lm_keys.append(self.key(reducer[0]))
         return len(self.lms) - 1
+
+    def seed(self, gb: GroebnerBasis) -> None:
+        """Start from a finished basis of this order: its reducers and order
+        keys, each of its pairs processed, so that G is the basis and B is
+        empty."""
+        _, keys, reducers = gb._packed
+        self.keys.update(keys)
+        for reducer in reducers:
+            self.add_reducer(reducer)
+        self.G = set(range(len(reducers)))
 
     def by_leading(self, indices) -> list[int]:
         return sorted(indices, key=self.lm_keys.__getitem__)
@@ -453,7 +481,9 @@ def reduced_gb(pres: IdealPresentation, order: TermOrder,
     Results are memoized per (presentation, order): the same quotient ring
     is interrogated many times across the pipeline.  Raises
     ResourceCapError after ``spair_cap`` processed S-pairs; that is a hard
-    failure, never a silent truncation.
+    failure, never a silent truncation.  The grevlex basis of a presentation
+    with an ``origin`` (R, l) is resumed from the grevlex basis of R, found
+    under the same cap, and the cap counts the S-pairs of the resumed run.
     """
     # positional, so that calls with and without spair_cap= share an entry
     return _buchberger(pres, order, spair_cap)
@@ -466,6 +496,8 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
         raise InputError("order width does not match presentation")
     if not order.is_global:
         raise InputError("Groebner bases require a global (well-) order")
+    if pres.origin is not None and order == TermOrder.grevlex(pres.width):
+        return _resume(*pres.origin, spair_cap)
     eng = _Engine(order, spair_cap)
 
     # inter-reduce the input before starting; each element is reduced only
@@ -492,7 +524,67 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
 
     for ih in eng.by_leading(range(len(eng.lms))):
         eng.update(ih)
+    return _basis(order, _complete(eng, 0), eng.keys)
 
+
+def leading_variable(ell: Polynomial) -> int:
+    """The greatest-index variable occurring in a linear form, its
+    grevlex-greatest one."""
+    if ell.is_zero() or ell.degree() != 1 or not ell.is_homogeneous():
+        raise InputError("expected a nonzero homogeneous degree-1 form")
+    indices = [next(v for v, e in enumerate(m) if e) for m in ell.terms]
+    return max(indices)
+
+
+def _resume(parent: IdealPresentation, ell: Polynomial,
+            spair_cap: int) -> GroebnerBasis:
+    """The reduced grevlex basis of the substituted presentation of
+    R/(ell), R = K[Y]/I the ring of ``parent``, resumed from that of R.
+
+    Buchberger goes on from the basis G of I, with its pairs processed, and
+    the normal form of ell as one new element (Gebauer-Moeller), to the
+    reduced basis of J = I + (ell).  x = x_lead, the grevlex-greatest
+    variable of ell, lies in in(J), so exactly one element of that basis
+    leads with x and no other has a term in x; J meets K[Y - x] in the
+    substituted ideal, so the other elements, with the x field projected
+    out of their monomials, are its reduced basis under grevlex(width - 1).
+    The unit ideal is the exception: its basis is 1 in either ring.
+    """
+    order = TermOrder.grevlex(parent.width)
+    eng = _Engine(order, spair_cap)
+    eng.seed(_buchberger(parent, order, spair_cap))
+    settled = len(eng.lms)
+    h = _reduce_dict(_pack_terms(ell.terms)[0], eng.basis_reducers(),
+                     eng.keys, eng.guard)[0]
+    if h:
+        eng.update(eng.add_poly(h))
+    final = _complete(eng, settled)
+
+    shift = FIELD_BITS * leading_variable(ell)
+    kept = [r for r in final if r[0] != 1 << shift]
+    if (len(kept) != len(final) - (final[0][0] != 0)
+            or any((m >> shift) & FIELD_MAX for _, terms in kept for m in terms)):
+        raise AssertionError(
+            "the basis of R/(l) does not project off the leading variable of l")
+    low = (1 << shift) - 1
+
+    def project(m: int) -> int:
+        return (m & low) | ((m >> FIELD_BITS) & ~low)
+
+    projected = [(project(lm), {project(m): c for m, c in terms.items()})
+                 for lm, terms in kept]
+    # the grevlex keys of monomials free of x_lead order as their
+    # projections' keys do, so the list stays sorted
+    return _basis(TermOrder.grevlex(parent.width - 1), projected, {})
+
+
+def _complete(eng: _Engine, settled: int) -> list[Reducer]:
+    """Process the pairs in B to the end, then minimalize and tail-reduce G:
+    the reducers of the reduced basis, sorted by leading key.
+
+    The elements before index ``settled`` were a reduced basis already, so
+    one of them is tail-reduced only when a term of it is divisible by the
+    leading monomial of a later element; every later one is."""
     while eng.B:
         pair, lcm = eng.pop_pair()
         eng.processed += 1
@@ -517,27 +609,40 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
                 break
         else:
             minimal.append(i)
+    new_lms = [lms[j] for j in minimal if j >= settled]
     final: list[Reducer] = []
     for i in minimal:
+        terms = eng.reducers[i][1]
+        if i < settled and not any(((m | guard) - a) & guard == guard
+                                   for m in terms for a in new_lms):
+            final.append(eng.reducers[i])
+            continue
         others = [eng.reducers[j] for j in minimal if j != i]
-        r = _reduce_dict(eng.reducers[i][1], others, eng.keys, guard)[0]
+        r = _reduce_dict(terms, others, eng.keys, guard)[0]
         if not r:
             raise AssertionError("minimal basis element reduced to zero")
         # no other leading monomial divides lms[i], so it still leads
         final.append((lms[i], _primitive(r, lms[i])))
     final.sort(key=lambda item: eng.key(item[0]))
-    width = pres.width
+    return final
+
+
+def _basis(order: TermOrder, final: list[Reducer],
+           keys: dict[int, int]) -> GroebnerBasis:
+    """The GroebnerBasis of reducers sorted by leading key, monic over Q,
+    keeping the reducers in place of packing its elements again, with the
+    order keys of their own monomials that ``keys`` holds."""
+    width = order.width
     gb = GroebnerBasis(order, tuple(
         _raw(width, {unpack(m, width): Fraction(c, terms[lm])
                      for m, c in terms.items()})
         for lm, terms in final))
-    # hand the engine's reducers over in place of packing the elements
-    # again, with the order keys of their own monomials only
-    keys = _OrderKeys(order)
+    own = _OrderKeys(order)
     for _, terms in final:
         for m in terms:
-            keys[m] = eng.keys[m]
-    gb.__dict__["_packed"] = (guard, keys, tuple(final))
+            if m in keys:
+                own[m] = keys[m]
+    gb.__dict__["_packed"] = (guard_mask(width), own, tuple(final))
     return gb
 
 
@@ -583,11 +688,15 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 
 def standard_monomials(ideal: MonomialIdeal, degree: int) -> list[Monomial]:
     """All degree-d monomials outside the ideal, in grevlex order."""
-    return [unpack(p, ideal.width) for p in _standard_packed(ideal, degree)]
+    keys = _OrderKeys(TermOrder.grevlex(ideal.width))
+    return [unpack(p, ideal.width)
+            for p in _standard_packed(ideal, degree, keys)]
 
 
-def _standard_packed(ideal: MonomialIdeal, degree: int) -> list[int]:
-    """standard_monomials, packed.
+def _standard_packed(ideal: MonomialIdeal, degree: int,
+                     grevlex_keys: _OrderKeys) -> list[int]:
+    """standard_monomials, packed, sorted by the memoised keys of
+    TermOrder.grevlex(width).
 
     A divisor of a standard monomial is standard, so each degree extends the
     one below by a variable at or after the last one used.
@@ -611,7 +720,7 @@ def _standard_packed(ideal: MonomialIdeal, degree: int) -> list[int]:
                     longer.append((q, v))
         layer = longer
     out = [p for p, _ in layer]
-    out.sort(key=TermOrder.grevlex(m).packed_key)
+    out.sort(key=grevlex_keys.__getitem__)
     return out
 
 
@@ -629,6 +738,11 @@ class StandardAction:
         self.gb = gb
         self.width = gb.order.width
         self.initial = initial_ideal(gb)
+        # every basis is in grevlex order: a grevlex basis's own keys, which
+        # its normal forms read too, sort them
+        grevlex = TermOrder.grevlex(self.width)
+        self._grevlex_keys = (gb._packed[1] if gb.order == grevlex
+                              else _OrderKeys(grevlex))
         self._packed_bases: dict[int, dict[int, int]] = {}
         self._bases: dict[int, tuple[Monomial, ...]] = {}
         self._columns: dict[tuple[int, int], tuple[dict, ...]] = {}
@@ -649,7 +763,8 @@ class StandardAction:
         found = self._packed_bases.get(d)
         if found is None:
             found = self._packed_bases[d] = {
-                p: i for i, p in enumerate(_standard_packed(self.initial, d))}
+                p: i for i, p in enumerate(
+                    _standard_packed(self.initial, d, self._grevlex_keys))}
         return found
 
     def column(self, d: int, v: int) -> tuple[dict, ...]:

@@ -14,7 +14,10 @@ divides, and what is left is the h-vector.
 Regularity of a linear form is certified by the exact factor test
 H_{R/l}(t) = (1 - t) * H_R(t); an artinian reduction by a full linear system
 of parameters exposes the socle, and Gorensteinness is decided by its
-dimension.
+dimension.  The quotient R/(l) is presented in one fewer variable, the
+leading variable of l substituted away, and its presentation records (R, l),
+so that its grevlex basis is resumed from the basis of R plus l rather than
+computed from the substituted generators (groebner.reduced_gb).
 
 A form l is regular on R exactly when multiplication by l is injective in
 every degree (Bruns-Herzog, Cohen-Macaulay Rings, 1.1).  Since
@@ -43,7 +46,8 @@ from functools import lru_cache
 
 from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, StandardAction,
-                       minimal_packed, normal_form, reduced_gb)
+                       leading_variable, minimal_packed, normal_form,
+                       reduced_gb)
 from .polyring import (EXP_BITS, FIELD_BITS, FIELD_MAX, Polynomial, TermOrder,
                        guard_mask, pack, packed_degree, unit_mono, unpack)
 from .toric import ToricIdeal
@@ -264,22 +268,15 @@ def hilbert_series(pres: IdealPresentation, order: TermOrder | None = None,
 # quotient by a linear form
 # ---------------------------------------------------------------------------
 
-def leading_variable(ell: Polynomial) -> int:
-    """The greatest-index variable occurring in a linear form."""
-    if ell.is_zero() or ell.degree() != 1 or not ell.is_homogeneous():
-        raise InputError("expected a nonzero homogeneous degree-1 form")
-    indices = [next(v for v, e in enumerate(m) if e) for m in ell.terms]
-    return max(indices)
-
-
 def quotient_by_linear_form(pres: IdealPresentation, ell: Polynomial,
                             spair_cap: int = DEFAULT_SPAIR_CAP,
                             old_numerator: IntPoly | None = None,
                             ) -> tuple[IdealPresentation, bool]:
     """Substitute away the leading variable of ell and test regularity.
 
-    Returns the re-presented ideal in one fewer variable and True iff
-    H_{R/l} = (1 - t) H_R exactly, i.e. the numerators agree.
+    Returns the re-presented ideal in one fewer variable, whose origin is
+    (pres, ell), and True iff H_{R/l} = (1 - t) H_R exactly, i.e. the
+    numerators agree.
     """
     if ell.width != pres.width:
         raise InputError("linear form width mismatch")
@@ -295,7 +292,7 @@ def quotient_by_linear_form(pres: IdealPresentation, ell: Polynomial,
         if sub:
             new_gens.append(sub)
     new_labels = tuple(pres.labels[v] for v in keep)
-    new_pres = IdealPresentation(new_labels, tuple(new_gens))
+    new_pres = IdealPresentation(new_labels, tuple(new_gens), (pres, ell))
     if old_numerator is None:
         old_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
     new_numerator = hilbert_series(new_pres, spair_cap=spair_cap).numerator

@@ -1,5 +1,6 @@
-"""The search for a regular linear system: its budget, its pinned output and
-the zero-divisor pre-filter that rejects candidates before any quotient."""
+"""The search for a regular linear system: its budget, its pinned output, the
+zero-divisor pre-filter that rejects candidates before any quotient, and the
+quotient bases resumed from the basis of the ring before."""
 
 from fractions import Fraction
 from functools import cache
@@ -9,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulforge import hilbert
-from koszulforge.errors import InputError
+from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import parse_graph
-from koszulforge.groebner import (IdealPresentation, StandardAction,
-                                  normal_form, reduced_gb)
+from koszulforge.groebner import (DEFAULT_SPAIR_CAP, IdealPresentation,
+                                  StandardAction, _buchberger, normal_form,
+                                  reduced_gb)
 from koszulforge.hilbert import (find_regular_linear_system,
                                  gorenstein_certificate, hilbert_series,
                                  leading_variable, quotient_by_linear_form,
                                  zero_divisor_witness)
 from koszulforge.paper_suite import paper_artinian_reduction
-from koszulforge.polyring import Polynomial, TermOrder, unit_mono
-from koszulforge.toric import monomial_map, toric_ideal
+from koszulforge.polyring import (Polynomial, TermOrder, parse_polynomial,
+                                  unit_mono)
+from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
 @cache
@@ -194,3 +197,120 @@ def test_zero_divisor_witness_rejects_bad_forms():
                 Polynomial.variable(10, 1)):
         with pytest.raises(InputError):
             zero_divisor_witness(action, bad)
+
+
+# ---------------------------------------------------------------------------
+# quotient bases resumed from the ring's basis
+# ---------------------------------------------------------------------------
+
+def assert_resumed_as_from_scratch(quotient):
+    """The grevlex basis of a quotient presentation, resumed from its
+    origin, is the one Buchberger finds from its generators alone, packed
+    reducers included; the memo is bypassed on both sides."""
+    order = TermOrder.grevlex(quotient.width)
+    plain = IdealPresentation(quotient.labels, quotient.generators)
+    assert quotient.origin is not None and plain.origin is None
+    assert plain == quotient and hash(plain) == hash(quotient)
+    assert repr(plain) == repr(quotient)
+    assert plain.to_json() == quotient.to_json()
+    resumed = _buchberger.__wrapped__(quotient, order, DEFAULT_SPAIR_CAP)
+    scratch = _buchberger.__wrapped__(plain, order, DEFAULT_SPAIR_CAP)
+    assert resumed == scratch
+    assert resumed._packed[2] == scratch._packed[2]
+
+
+COEFFS = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2, 3)]
+                         + [Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def quotient_cases(draw):
+    """A homogeneous ideal in 3-5 variables, linear generators among its
+    others, and a linear form; the form may lie in the ideal, the ideal may
+    be the unit ideal, and coefficients are integral or not."""
+    width = draw(st.integers(3, 5))
+
+    def form(degree):
+        monomial = st.lists(st.integers(0, width - 1), min_size=degree,
+                            max_size=degree).map(
+            lambda vs: tuple(vs.count(v) for v in range(width)))
+        monos = draw(st.lists(monomial, min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(COEFFS, min_size=len(monos),
+                               max_size=len(monos)))
+        return Polynomial(width, dict(zip(monos, coeffs)))
+
+    gens = [form(draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(0, 4)))]
+    ell = form(1)
+    kind = draw(st.sampled_from(["form", "member", "unit"]))
+    if kind == "member":
+        gens.append(ell * draw(COEFFS))
+    elif kind == "unit":
+        gens.append(Polynomial.constant(width, draw(COEFFS)))
+    labels = tuple(f"x{i}" for i in range(width))
+    return IdealPresentation(labels, tuple(gens)), ell
+
+
+@given(quotient_cases())
+@settings(max_examples=80, deadline=None)
+def test_a_resumed_quotient_basis_is_the_basis_from_scratch(case):
+    pres, ell = case
+    quotient, _ = quotient_by_linear_form(pres, ell)
+    assert quotient.origin == (pres, ell)
+    assert_resumed_as_from_scratch(quotient)
+
+
+def search_ring(spec):
+    """The toric ring of a graph, or a closed-form ideal as "cbar(3)"."""
+    for name in ("cbar", "family"):
+        if spec.startswith(name + "("):
+            return closed_form_generators(name, int(spec[len(name) + 1:-1])
+                                          ).presentation
+    return toric_presentation(spec)
+
+
+@pytest.mark.parametrize("spec", ["complement(cycle(7))", "paper:G1",
+                                  "paper:G4", "cbar(3)", "family(1)"])
+def test_every_quotient_of_a_search_is_resumed_exactly(monkeypatch, spec):
+    quotients = []
+    full_test = hilbert.quotient_by_linear_form
+
+    def recorded(*args, **kwargs):
+        out = full_test(*args, **kwargs)
+        quotients.append(out[0])
+        return out
+
+    monkeypatch.setattr(hilbert, "quotient_by_linear_form", recorded)
+    assert find_regular_linear_system(search_ring(spec)) is not None
+    assert quotients
+    for quotient in quotients:
+        assert_resumed_as_from_scratch(quotient)
+
+
+# the heptagon ring quotiented by y_{} and then by the next three forms of
+# its linear system, and the fifth form the search tries there
+HEPTAGON_CHAIN = ["y_{}", "y_{1} - y_{2,3}", "y_{2} - y_{3,4}",
+                  "y_{3} - y_{4,5}", "y_{2} - y_{5,6}"]
+
+
+@pytest.mark.parametrize("steps, cap", [(1, 58), (5, 66)],
+                         ids=["first quotient", "fifth quotient"])
+def test_a_resumed_basis_honours_the_spair_cap(steps, cap):
+    # the cap bounds each run of Buchberger, and a resumed basis rests on
+    # the bases before it, found under the same cap.  The heptagon ring's
+    # basis takes 58 S-pairs from scratch; its quotient by y_{} resumes with
+    # none, since y_{} is prime to every leading monomial, so it needs the
+    # ring's 58; the fifth quotient resumes with 66 of its own, more than
+    # any basis before it needs
+    pres = toric_presentation("complement(cycle(7))")
+    for text in HEPTAGON_CHAIN[:steps]:
+        parent = pres
+        pres, _ = quotient_by_linear_form(
+            parent, parse_polynomial(text, parent.labels))
+    order = TermOrder.grevlex(pres.width)
+    assert reduced_gb(pres, order, spair_cap=cap) == reduced_gb(pres, order)
+    with pytest.raises(ResourceCapError):
+        reduced_gb(pres, order, spair_cap=cap - 1)
+    if steps == 5:
+        # the resumed run itself is what exceeds the smaller cap
+        reduced_gb(parent, TermOrder.grevlex(parent.width), spair_cap=cap - 1)

@@ -65,12 +65,19 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _is_int(v) -> bool:
+    """v is an int and not a bool, which Python counts as an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph(n: int, edges) -> Graph:
     """Normalizing constructor: sorts endpoints, rejects loops and duplicates."""
+    if not _is_int(n):
+        raise InputError(f"bad vertex count {n!r}: expected an integer")
     norm = set()
     for e in edges:
         if not (isinstance(e, (tuple, list)) and len(e) == 2
-                and all(isinstance(v, int) for v in e)):
+                and all(map(_is_int, e))):
             raise InputError(f"bad edge {e!r}: expected a pair of vertices")
         i, j = e
         if i == j:
@@ -225,13 +232,10 @@ def _graph_from_json_text(text: str) -> Graph:
 def graph_from_json(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise InputError('graph JSON needs {"n": int, "edges": [[i,j], ...]}')
-    n = data["n"]
-    if not isinstance(n, int):
-        raise InputError("graph JSON: n must be an integer")
     if not isinstance(data["edges"], list):
         raise InputError("graph JSON: edges must be a list of pairs")
     _check_edges(len(data["edges"]))
-    return graph(n, data["edges"])
+    return graph(data["n"], data["edges"])
 
 
 def _graph_from_edge_text(text: str) -> Graph:

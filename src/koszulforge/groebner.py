@@ -10,12 +10,23 @@ pairs wait in a heap; a pair the criteria discard later is skipped when it
 is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
 
-The same update resumes a finished basis: the grevlex basis of a quotient
+There is one way into a basis G (``_Engine.enter``): the input generators,
+in order of their leading keys, the form l of a resumed quotient and every
+S-polynomial alike are reduced against G, added unless they vanish, and
+passed to the update, which drops each element of G whose leading monomial
+the new one divides.  So the leading monomials of G form an antichain at
+every step: G is a minimal basis throughout, and the reduced basis is G
+tail-reduced.
+
+The same step resumes a finished basis: the grevlex basis of a quotient
 R/(l) whose presentation records its origin (R, l) starts from the reduced
-basis of R, its pairs all processed, plus l, and processes only the new
-pairs.  The element led by the leading variable of l is then dropped and
-that variable projected out of the others (see ``_resume``).  One memo, that
-of ``reduced_gb``, holds both kinds of basis.
+basis of R, its pairs all processed, l enters it, and only the new pairs
+are processed.  The element led by the leading variable of l is then
+dropped and that variable's field cut out of the others (see ``_resume``),
+by the packed projection that also builds the generators of R/(l), the
+remainders of those of R on division by l alone
+(``quotient_presentation``).  One memo, that of ``reduced_gb``, holds both
+kinds of basis.
 
 Inside the engine, the division and the monomial minimalization the data
 are machine ints:
@@ -42,7 +53,7 @@ are machine ints:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -70,8 +81,8 @@ class IdealPresentation:
 
     ``origin`` is (R, l) when the generators are those of R with the leading
     variable of the linear form l substituted away (see
-    hilbert.quotient_by_linear_form): the grevlex basis is then resumed from
-    that of R.  Equality, hashing, repr and JSON ignore it.
+    ``quotient_presentation``): the grevlex basis is then resumed from that
+    of R.  Equality, hashing, repr and JSON ignore it.
     """
 
     labels: tuple[str, ...]
@@ -99,13 +110,6 @@ class IdealPresentation:
     def to_json(self) -> dict:
         return {"labels": list(self.labels),
                 "generators": [g.to_json() for g in self.generators]}
-
-    @staticmethod
-    def from_json(data: dict) -> "IdealPresentation":
-        labels = tuple(data["labels"])
-        gens = tuple(Polynomial.from_json(g, len(labels))
-                     for g in data["generators"])
-        return IdealPresentation(labels, gens)
 
 
 @dataclass(frozen=True)
@@ -159,10 +163,6 @@ class MonomialIdeal:
     def is_quadratic(self) -> bool:
         return all(mono_degree(m) <= 2 for m in self.generators)
 
-    @property
-    def is_squarefree(self) -> bool:
-        return all(all(e <= 1 for e in m) for m in self.generators)
-
     def contains(self, m: Monomial) -> bool:
         return self._contains(pack(m))
 
@@ -191,12 +191,6 @@ class MonomialIdeal:
             if (q_guarded - a) & guard == guard:
                 return True
         return False
-
-    def to_json(self) -> dict:
-        return {"width": self.width,
-                "generators": [list(m) for m in self.generators],
-                "flags": {"quadratic": self.is_quadratic,
-                          "squarefree": self.is_squarefree}}
 
 
 def minimal_generators(gens) -> list[Monomial]:
@@ -377,10 +371,6 @@ class _Engine:
         self.B: dict[tuple[int, int], int] = {}
         self.heap: list = []
 
-    def add_poly(self, terms: dict[int, int]) -> int:
-        lm = max(terms, key=self.key)
-        return self.add_reducer((lm, _primitive(terms, lm)))
-
     def add_reducer(self, reducer: Reducer) -> int:
         self.reducers.append(reducer)
         self.lms.append(reducer[0])
@@ -405,6 +395,17 @@ class _Engine:
         if self._by_leading is None:
             self._by_leading = [self.reducers[i] for i in self.by_leading(self.G)]
         return self._by_leading
+
+    def enter(self, terms: dict[int, int]) -> None:
+        """The one way into the basis: reduce the polynomial against G and,
+        unless it vanishes, add it and run the pair update.  Reduced, its
+        leading monomial is divisible by none in G, and the update drops
+        every element of G that it divides, so the leading monomials of G
+        stay an antichain."""
+        h = _reduce_dict(terms, self.basis_reducers(), self.keys, self.guard)[0]
+        if h:
+            lm = max(h, key=self.key)
+            self.update(self.add_reducer((lm, _primitive(h, lm))))
 
     def update(self, ih: int) -> None:
         """Gebauer-Moeller pair update after adding basis element ih."""
@@ -499,31 +500,10 @@ def _buchberger(pres: IdealPresentation, order: TermOrder,
     if pres.origin is not None and order == TermOrder.grevlex(pres.width):
         return _resume(*pres.origin, spair_cap)
     eng = _Engine(order, spair_cap)
-
-    # inter-reduce the input before starting; each element is reduced only
-    # against already-kept ones, so content is never lost to mutual
-    # cancellation, and we iterate to a fixpoint
-    current = [_pack_terms(g.terms)[0] for g in pres.generators]
-    while True:
-        kept: list[Reducer] = []
-        changed = False
-        for p in current:
-            r = _reduce_dict(p, kept, eng.keys, eng.guard)[0]
-            if r != p:
-                changed = True
-            if r:
-                lm = max(r, key=eng.key)
-                kept.append((lm, _primitive(r, lm)))
-        current = [q for _, q in kept]
-        if not changed:
-            break
-    if not current:
-        return GroebnerBasis(order, ())
-    for p in current:
-        eng.add_poly(p)
-
-    for ih in eng.by_leading(range(len(eng.lms))):
-        eng.update(ih)
+    # the generators enter as S-pair remainders do, by leading key
+    for terms in sorted((_pack_terms(g.terms)[0] for g in pres.generators),
+                        key=lambda terms: max(map(eng.key, terms))):
+        eng.enter(terms)
     return _basis(order, _complete(eng, 0), eng.keys)
 
 
@@ -538,39 +518,33 @@ def leading_variable(ell: Polynomial) -> int:
 
 def _resume(parent: IdealPresentation, ell: Polynomial,
             spair_cap: int) -> GroebnerBasis:
-    """The reduced grevlex basis of the substituted presentation of
-    R/(ell), R = K[Y]/I the ring of ``parent``, resumed from that of R.
+    """The reduced grevlex basis of the quotient presentation of R/(ell),
+    R = K[Y]/I the ring of ``parent``, resumed from that of R.
 
     Buchberger goes on from the basis G of I, with its pairs processed, and
-    the normal form of ell as one new element (Gebauer-Moeller), to the
-    reduced basis of J = I + (ell).  x = x_lead, the grevlex-greatest
-    variable of ell, lies in in(J), so exactly one element of that basis
-    leads with x and no other has a term in x; J meets K[Y - x] in the
-    substituted ideal, so the other elements, with the x field projected
-    out of their monomials, are its reduced basis under grevlex(width - 1).
-    The unit ideal is the exception: its basis is 1 in either ring.
+    ell entering as one new element (Gebauer-Moeller), to the reduced basis
+    of J = I + (ell).  x = x_lead, the grevlex-greatest variable of ell,
+    lies in in(J), so exactly one element of that basis leads with x and no
+    other has a term in x; J meets K[Y - x] in the ideal of the quotient
+    presentation, so the other elements, with the x field cut out of their
+    monomials, are its reduced basis under grevlex(width - 1).  The unit
+    ideal is the exception: its basis is 1 in either ring.
     """
     order = TermOrder.grevlex(parent.width)
     eng = _Engine(order, spair_cap)
     eng.seed(_buchberger(parent, order, spair_cap))
     settled = len(eng.lms)
-    h = _reduce_dict(_pack_terms(ell.terms)[0], eng.basis_reducers(),
-                     eng.keys, eng.guard)[0]
-    if h:
-        eng.update(eng.add_poly(h))
+    eng.enter(_pack_terms(ell.terms)[0])
     final = _complete(eng, settled)
 
-    shift = FIELD_BITS * leading_variable(ell)
+    lead = leading_variable(ell)
+    shift = FIELD_BITS * lead
     kept = [r for r in final if r[0] != 1 << shift]
     if (len(kept) != len(final) - (final[0][0] != 0)
             or any((m >> shift) & FIELD_MAX for _, terms in kept for m in terms)):
         raise AssertionError(
             "the basis of R/(l) does not project off the leading variable of l")
-    low = (1 << shift) - 1
-
-    def project(m: int) -> int:
-        return (m & low) | ((m >> FIELD_BITS) & ~low)
-
+    project = _drop_field(lead)
     projected = [(project(lm), {project(m): c for m, c in terms.items()})
                  for lm, terms in kept]
     # the grevlex keys of monomials free of x_lead order as their
@@ -578,52 +552,75 @@ def _resume(parent: IdealPresentation, ell: Polynomial,
     return _basis(TermOrder.grevlex(parent.width - 1), projected, {})
 
 
-def _complete(eng: _Engine, settled: int) -> list[Reducer]:
-    """Process the pairs in B to the end, then minimalize and tail-reduce G:
-    the reducers of the reduced basis, sorted by leading key.
+def _drop_field(v: int) -> Callable[[int], int]:
+    """Re-pack a packed monomial free of x_v in the ring without x_v: the
+    fields above that of v move down by one."""
+    low = (1 << (FIELD_BITS * v)) - 1
+    return lambda m: (m & low) | ((m >> FIELD_BITS) & ~low)
 
-    The elements before index ``settled`` were a reduced basis already, so
-    one of them is tail-reduced only when a term of it is divisible by the
-    leading monomial of a later element; every later one is."""
+
+def quotient_presentation(pres: IdealPresentation,
+                          ell: Polynomial) -> IdealPresentation:
+    """R/(ell) in one fewer variable, R the ring of ``pres``, with origin
+    (pres, ell).
+
+    Under grevlex ell leads with x = leading_variable(ell), so the remainder
+    of a generator on division by ell alone has no term in x: it is the
+    generator with x replaced by its value on ell = 0.  The nonzero
+    remainders, with the x field cut out, generate R/(ell).
+    """
+    if ell.width != pres.width:
+        raise InputError("linear form width mismatch")
+    lead = leading_variable(ell)
+    width = pres.width - 1
+    keys = _OrderKeys(TermOrder.grevlex(pres.width))
+    guard = guard_mask(pres.width)
+    unit = 1 << (FIELD_BITS * lead)
+    divisor = [(unit, _primitive(_pack_terms(ell.terms)[0], unit))]
+    project = _drop_field(lead)
+    gens = []
+    for g in pres.generators:
+        terms, den = _pack_terms(g.terms)
+        r, scale = _reduce_dict(terms, divisor, keys, guard)
+        if r:
+            scale *= den
+            gens.append(_raw(width, {unpack(project(m), width): Fraction(c, scale)
+                                     for m, c in r.items()}))
+    return IdealPresentation(pres.labels[:lead] + pres.labels[lead + 1:],
+                             tuple(gens), (pres, ell))
+
+
+def _complete(eng: _Engine, settled: int) -> list[Reducer]:
+    """Process the pairs in B to the end, then tail-reduce G: the reducers
+    of the reduced basis, sorted by leading key.
+
+    The leading monomials of G form an antichain (``_Engine.enter``), so G
+    is a minimal basis and each leading monomial still leads after the tail
+    reduction.  The elements before index ``settled`` were a reduced basis
+    already, so one of them is tail-reduced only when a term of it is
+    divisible by the leading monomial of a later element; every later one
+    is."""
     while eng.B:
         pair, lcm = eng.pop_pair()
         eng.processed += 1
         if eng.processed > eng.cap:
             raise ResourceCapError(
                 f"S-pair budget of {eng.cap} exceeded; raise --spair-cap to continue")
-        s = eng.spoly(*pair, lcm)
-        if not s:
-            continue
-        h = _reduce_dict(s, eng.basis_reducers(), eng.keys, eng.guard)[0]
-        if h:
-            eng.update(eng.add_poly(h))
+        eng.enter(eng.spoly(*pair, lcm))
 
-    # minimalize and tail-reduce into the reduced basis
-    chosen = eng.by_leading(eng.G)
-    lms, guard = eng.lms, eng.guard
-    minimal = []
-    for i in chosen:
-        lm_guarded = lms[i] | guard
-        for j in chosen:
-            if j != i and (lm_guarded - lms[j]) & guard == guard:
-                break
-        else:
-            minimal.append(i)
-    new_lms = [lms[j] for j in minimal if j >= settled]
+    basis, guard = eng.basis_reducers(), eng.guard
+    new_lms = [eng.lms[j] for j in eng.G if j >= settled]
     final: list[Reducer] = []
-    for i in minimal:
-        terms = eng.reducers[i][1]
+    for i, (lm, terms) in zip(eng.by_leading(eng.G), basis):
         if i < settled and not any(((m | guard) - a) & guard == guard
                                    for m in terms for a in new_lms):
-            final.append(eng.reducers[i])
+            final.append((lm, terms))
             continue
-        others = [eng.reducers[j] for j in minimal if j != i]
+        others = [r for r in basis if r[0] != lm]
         r = _reduce_dict(terms, others, eng.keys, guard)[0]
         if not r:
             raise AssertionError("minimal basis element reduced to zero")
-        # no other leading monomial divides lms[i], so it still leads
-        final.append((lms[i], _primitive(r, lms[i])))
-    final.sort(key=lambda item: eng.key(item[0]))
+        final.append((lm, _primitive(r, lm)))
     return final
 
 

@@ -14,10 +14,12 @@ divides, and what is left is the h-vector.
 Regularity of a linear form is certified by the exact factor test
 H_{R/l}(t) = (1 - t) * H_R(t); an artinian reduction by a full linear system
 of parameters exposes the socle, and Gorensteinness is decided by its
-dimension.  The quotient R/(l) is presented in one fewer variable, the
-leading variable of l substituted away, and its presentation records (R, l),
-so that its grevlex basis is resumed from the basis of R plus l rather than
-computed from the substituted generators (groebner.reduced_gb).
+dimension.  The quotient R/(l) is presented in one fewer variable by the
+engine (groebner.quotient_presentation): its generators are the
+remainders of those of R on division by l, which under grevlex leads with
+the variable it substitutes away, and its presentation records (R, l), so
+that its grevlex basis is resumed from the basis of R plus l rather than
+computed from those generators (groebner.reduced_gb).
 
 A form l is regular on R exactly when multiplication by l is injective in
 every degree (Bruns-Herzog, Cohen-Macaulay Rings, 1.1).  Since
@@ -47,7 +49,7 @@ from functools import lru_cache
 from .errors import InputError, ResourceCapError
 from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, StandardAction,
                        leading_variable, minimal_packed, normal_form,
-                       reduced_gb)
+                       quotient_presentation, reduced_gb)
 from .polyring import (EXP_BITS, FIELD_BITS, FIELD_MAX, Polynomial, TermOrder,
                        guard_mask, pack, packed_degree, unit_mono, unpack)
 from .toric import ToricIdeal
@@ -272,27 +274,14 @@ def quotient_by_linear_form(pres: IdealPresentation, ell: Polynomial,
                             spair_cap: int = DEFAULT_SPAIR_CAP,
                             old_numerator: IntPoly | None = None,
                             ) -> tuple[IdealPresentation, bool]:
-    """Substitute away the leading variable of ell and test regularity.
+    """Present R/(ell) in one fewer variable and test regularity.
 
-    Returns the re-presented ideal in one fewer variable, whose origin is
-    (pres, ell), and True iff H_{R/l} = (1 - t) H_R exactly, i.e. the
-    numerators agree.
+    Returns the quotient presentation (groebner.quotient_presentation),
+    whose generators are the remainders of those of R on division by ell
+    and whose origin is (pres, ell), and True iff H_{R/l} = (1 - t) H_R
+    exactly, i.e. the numerators agree.
     """
-    if ell.width != pres.width:
-        raise InputError("linear form width mismatch")
-    lead = leading_variable(ell)
-    lead_mono = unit_mono(pres.width, lead)
-    coeff = ell.terms[lead_mono]
-    tail = ell - Polynomial.monomial(lead_mono, coeff)
-    replacement = tail * (Fraction(-1) / coeff)
-    keep = [v for v in range(pres.width) if v != lead]
-    new_gens = []
-    for g in pres.generators:
-        sub = g.substitute(lead, replacement).project(keep)
-        if sub:
-            new_gens.append(sub)
-    new_labels = tuple(pres.labels[v] for v in keep)
-    new_pres = IdealPresentation(new_labels, tuple(new_gens), (pres, ell))
+    new_pres = quotient_presentation(pres, ell)
     if old_numerator is None:
         old_numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
     new_numerator = hilbert_series(new_pres, spair_cap=spair_cap).numerator

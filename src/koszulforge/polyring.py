@@ -474,30 +474,6 @@ class Polynomial:
             total += v
         return total
 
-    def substitute(self, index: int, replacement: "Polynomial") -> "Polynomial":
-        """Substitute ``replacement`` for the variable at ``index``.
-
-        The result lives in the same width; the caller is responsible for
-        dropping the now-unused coordinate if desired.  Every term expands
-        into one dict, each power of the replacement computed once.
-        """
-        self._require_same_width(replacement)
-        powers = [{mono_one(self.width): Fraction(1)}]
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[index]
-            while len(powers) <= e:
-                powers.append((_raw(self.width, powers[-1]) * replacement).terms)
-            rest = m[:index] + (0,) + m[index + 1:]
-            for rm, rc in powers[e].items():
-                mm = mono_mul(rest, rm)
-                s = out.get(mm, 0) + c * rc
-                if s:
-                    out[mm] = s
-                else:
-                    del out[mm]
-        return _raw(self.width, out)
-
     def project(self, keep: Iterable[int]) -> "Polynomial":
         """Re-express in the sub-ring on ``keep`` (all other exponents must be 0)."""
         keep = tuple(keep)

@@ -38,6 +38,25 @@ def test_graph_validation():
     assert g.edges == frozenset({(1, 2)})
 
 
+def test_a_boolean_vertex_is_rejected(capsys):
+    # a JSON boolean is a Python int, but not a vertex
+    with pytest.raises(InputError):
+        graph(3, [(True, 3)])
+    with pytest.raises(InputError):
+        parse_graph('{"n": 3, "edges": [[true, 3], [2, 3]]}')
+    assert main(["stable-sets", '{"n": 3, "edges": [[true, 3], [2, 3]]}']) == 1
+    assert capsys.readouterr().err.startswith("error: bad edge")
+
+
+def test_a_boolean_vertex_count_is_rejected(capsys):
+    with pytest.raises(InputError):
+        graph(True, [])
+    with pytest.raises(InputError):
+        parse_graph('{"n": true, "edges": []}')
+    assert main(["analyze", '{"n": true, "edges": []}']) == 1
+    assert capsys.readouterr().err.startswith("error: bad vertex count True")
+
+
 def test_parse_families():
     assert parse_graph("cycle(7)").n == 7
     assert len(parse_graph("cycle(7)").edges) == 7

@@ -208,8 +208,11 @@ def test_spair_cap_is_hard_failure():
 
 
 @pytest.mark.parametrize("spec, elimination, grevlex",
-                         [("cycle(5)", 261, 25), ("paper:G4", 483, 52)],
-                         ids=["cycle(5)", "paper:G4"])
+                         [("cycle(5)", 261, 25), ("paper:G4", 483, 52),
+                          ("complement(cycle(7))", 736, 58),
+                          ("paper:G1", 636, 77)],
+                         ids=["cycle(5)", "paper:G4", "complement(cycle(7))",
+                              "paper:G1"])
 def test_spair_count_is_pinned(spec, elimination, grevlex):
     # processed S-pairs of the elimination and of the grevlex basis of its
     # result; a change in pair selection or pruning moves these counts

@@ -2,6 +2,7 @@
 zero-divisor pre-filter that rejects candidates before any quotient, and the
 quotient bases resumed from the basis of the ring before."""
 
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -285,6 +286,61 @@ def test_every_quotient_of_a_search_is_resumed_exactly(monkeypatch, spec):
     assert quotients
     for quotient in quotients:
         assert_resumed_as_from_scratch(quotient)
+
+
+def heptagon_quotients(monkeypatch):
+    """(R, l, R/(l)) for each quotient of the heptagon ring's search, and
+    for two forms of its own: one led by 2, and then, on that quotient,
+    whose generators have the coefficient 1/2, one with Fraction
+    coefficients."""
+    pres = toric_presentation("complement(cycle(7))")
+    found = []
+    full_test = hilbert.quotient_by_linear_form
+
+    def recorded(ring, ell, *args, **kwargs):
+        out = full_test(ring, ell, *args, **kwargs)
+        found.append((ring, ell, out[0]))
+        return out
+
+    monkeypatch.setattr(hilbert, "quotient_by_linear_form", recorded)
+    assert find_regular_linear_system(pres) is not None
+    ring = pres
+    for text in ("2*y_{6,7} - y_{1} + y_{3,4}", "3/2*y_{5,6} + 2/3*y_{} - y_{5}"):
+        ring = recorded(ring, parse_polynomial(text, ring.labels))[0]
+    return found
+
+
+def test_quotient_generators_agree_with_their_ring_where_l_vanishes(monkeypatch):
+    # checked by evaluation alone: at a rational point on l = 0, a generator
+    # of R takes the value of its counterpart in R/(l) at the same point
+    # without the coordinate of the substituted variable, the greatest one
+    # in l; a generator that vanishes at every such point was dropped
+    rng = random.Random(7)
+    quotients = heptagon_quotients(monkeypatch)
+    assert len(quotients) == 18
+    for ring, ell, quotient in quotients:
+        lead = max(m.index(1) for m in ell.terms)
+        coeff = ell.terms[unit_mono(ring.width, lead)]
+        assert quotient.labels == ring.labels[:lead] + ring.labels[lead + 1:]
+        points = []
+        for _ in range(3):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(ring.width)]
+            point[lead] = 0
+            point[lead] = -ell.evaluate(point) / coeff
+            assert ell.evaluate(point) == 0
+            points.append(point)
+        left = iter(quotient.generators)
+        counterpart = next(left, None)
+        for g in ring.generators:
+            values = [g.evaluate(point) for point in points]
+            if counterpart is not None and values == [
+                    counterpart.evaluate(point[:lead] + point[lead + 1:])
+                    for point in points]:
+                counterpart = next(left, None)
+            else:
+                assert values == [0] * len(points)
+        assert counterpart is None
 
 
 # the heptagon ring quotiented by y_{} and then by the next three forms of

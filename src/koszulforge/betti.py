@@ -22,6 +22,15 @@ Syzygies, ch. 1; Froeberg, "Koszul algebras", 1999).  That number must equal
 dim K_j - rank S, an invariant checked at every (i, j).  S's pivot rows plus
 the new generators are the basis of K_j that the next degree multiplies.
 
+One function carries the module action: S takes the products of a lower
+kernel vector by all the variables from one pass over its entries, and an
+image column takes one variable at a time.  The column of (g, b) is the
+image of generator g times u = basis(j - deg g)[b], built from that of
+u / y_v, v the first variable of u, with both monomials named by their
+degree and basis index (StandardAction.first_factors).  These, with the
+heap of linalg's pivot positions, cut a round of the benchmark's
+resolution workload (BENCH_22.json).
+
 A ring is Koszul iff the table vanishes off the diagonal; a finite table can
 only refute Koszulness (NonKoszul) or report KoszulUpToBound, while the
 quadratic-Groebner-basis shortcut proves it outright.  koszul_verdict alone
@@ -78,23 +87,39 @@ class BettiTable:
                 "entries": [[i, j, v] for (i, j), v in sorted(self.entries.items())]}
 
 
-def _multiply_by_variable(action, degrees: list[int], v: int, j: int,
-                          vec: dict, p: int) -> dict:
-    """Module action of variable v on a degree-j vector of the free module."""
+def _module_action(action, degrees: list[int], variables, j: int, vec: dict,
+                   p: int) -> list[dict]:
+    """Module action of each of the variables on a degree-j vector of the
+    free module: one product per variable, in their order, all built in one
+    pass over the entries of vec."""
     n = len(degrees)
-    out: dict[int, object] = {}
+    outs: list[dict] = [{} for _ in variables]
     for key, c in vec.items():
         b, g = divmod(key, n)
-        for row, coeff in action[j - degrees[g]][v][b].items():
-            k = row * n + g
-            s = out.get(k, 0) + c * coeff
-            if p:
-                s %= p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+        acts = action[j - degrees[g]][b]
+        for out, v in zip(outs, variables):
+            for row, coeff in acts[v]:
+                k = row * n + g
+                s = out.get(k, 0) + c * coeff
+                if p:
+                    s %= p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return outs
+
+
+def _action_table(A: MultiplicationTable, top: int, p: int) -> list:
+    """action[e][b][v], e < top: the (row, coeff) pairs of
+    y_v * basis(e)[b] over basis(e + 1), coeffs in the field's elements;
+    a coeff that p divides is left out, so that none is zero."""
+    def pairs(col):
+        field = ((row, to_field(c, p) if p else c) for row, c in col.items())
+        return tuple((row, c) for row, c in field if c)
+    return [list(zip(*(tuple(map(pairs, A.action.column(e, v)))
+                       for v in range(A.action.width))))
+            for e in range(top)]
 
 
 # Most columns one step (i, j) of the resolution may build; each column is a
@@ -147,16 +172,14 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
     if i_max == 0:
         return finished(entries)
 
-    # action[e][v]: variable v from degree e < j_max, in the field's elements
-    def in_field(cols):
-        return cols if not p else tuple(
-            {row: to_field(c, p) for row, c in col.items()} for col in cols)
-    action = [[in_field(A.action.column(e, v)) for v in range(width)]
-              for e in range(max(j_max, 1))]
+    action = _action_table(A, max(j_max, 1), p)
     dims = [A.dimension(e) for e in range(j_max + 1)]
+    # factors[e][b] = (v, b'): basis(e)[b] = y_v * basis(e - 1)[b']
+    factors = [()] + [A.action.first_factors(e) for e in range(1, j_max)]
+    variables = range(width)
     # F_1 = A(-1)^width with e_v -> y_v; images live in F_0 = A, and the
     # image of F_1 -> F_0 is the maximal ideal
-    gen_images = [(1, action[0][v][0]) for v in range(width)]
+    gen_images = [(1, dict(action[0][0][v])) for v in range(width)]
     image_dims = [dims[j] if j else 0 for j in range(j_max + 1)]
     for j in range(j_max + 1):
         entries[(1, j)] = width if j == 1 else 0
@@ -182,9 +205,9 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
             kernel_dims[j] = columns - image_dims[j]
             # S = variables * (lower kernel), inserted until it fills K_j
             span = Eliminator(p)
-            products = (_multiply_by_variable(action, degrees, v, j - 1,
-                                              vec, p)
-                        for vec in lower for v in range(width))
+            products = (prod for vec in lower
+                        for prod in _module_action(action, degrees, variables,
+                                                   j - 1, vec, p))
             for prod in products:
                 if span.rank == kernel_dims[j]:
                     break
@@ -198,10 +221,9 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
             coords = (b * n + g for g, d in enumerate(degrees) if d <= j
                       for b in range(dims[j - d]))
             free = [c for c in coords if c not in span.pivots]
-            col_cache: dict[tuple[int, tuple[int, ...]], dict] = {}
-            cols = [_image_column(action, prev_degrees, col_cache, g,
-                                  *gen_images[g],
-                                  A.action.basis(j - degrees[g])[b], p)
+            col_cache: dict[tuple[int, int, int], dict] = {}
+            cols = [_image_column(action, prev_degrees, factors, col_cache, g,
+                                  *gen_images[g], j - degrees[g], b, p)
                     for b, g in (divmod(c, n) for c in free)]
             fresh = [{free[k]: c for k, c in vec.items()}
                      for vec in Eliminator(p).kernel_of_columns(cols)]
@@ -231,22 +253,21 @@ def betti_table(A: MultiplicationTable, i_max: int, j_max: int,
     return finished(entries)
 
 
-def _image_column(action, degrees: list[int], cache: dict, g: int, d_g: int,
-                  img: dict, mono, p: int) -> dict:
-    """img * mono in F_{i-1}, built one variable at a time with caching."""
-    if not any(mono):
+def _image_column(action, degrees: list[int], factors, cache: dict, g: int,
+                  d_g: int, img: dict, e: int, b: int, p: int) -> dict:
+    """img * u in F_{i-1}, u = basis(e)[b], built one variable at a time
+    with caching: u = y_v * basis(e - 1)[b'] for (v, b') = factors[e][b]."""
+    if not e:
         return img
-    key = (g, mono)
+    key = (g, e, b)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    v = next(i for i, e in enumerate(mono) if e)
-    smaller = list(mono)
-    smaller[v] -= 1
-    smaller = tuple(smaller)
-    base = _image_column(action, degrees, cache, g, d_g, img, smaller, p)
-    out = _multiply_by_variable(action, degrees, v, d_g + sum(smaller), base, p)
-    cache[key] = out
+    v, below = factors[e][b]
+    base = _image_column(action, degrees, factors, cache, g, d_g, img, e - 1,
+                         below, p)
+    out = cache[key] = _module_action(action, degrees, (v,), d_g + e - 1,
+                                      base, p)[0]
     return out
 
 

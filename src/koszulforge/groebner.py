@@ -743,6 +743,7 @@ class StandardAction:
         self._packed_bases: dict[int, dict[int, int]] = {}
         self._bases: dict[int, tuple[Monomial, ...]] = {}
         self._columns: dict[tuple[int, int], tuple[dict, ...]] = {}
+        self._factors: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def basis(self, d: int) -> tuple[Monomial, ...]:
         found = self._bases.get(d)
@@ -769,6 +770,20 @@ class StandardAction:
         if cols is None:
             cols = self._columns[(d, v)] = self._act(d, v)
         return cols
+
+    def first_factors(self, d: int) -> tuple[tuple[int, int], ...]:
+        """For each monomial u of basis(d), d >= 1, the pair (v, i) with
+        u = y_v * basis(d - 1)[i], v the first variable of u: a divisor of a
+        standard monomial is standard, so each is found."""
+        found = self._factors.get(d)
+        if found is None:
+            below = self._positions(d - 1)
+            pairs = []
+            for mono in self._positions(d):
+                v = ((mono & -mono).bit_length() - 1) // FIELD_BITS
+                pairs.append((v, below[mono - (1 << (FIELD_BITS * v))]))
+            found = self._factors[d] = tuple(pairs)
+        return found
 
     def kernel(self, d: int, forms: list[list[tuple[int, int | Fraction]]]):
         """The primitive kernel vectors {i: c}, over basis(d), of the linear

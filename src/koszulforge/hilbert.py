@@ -292,15 +292,19 @@ def apply_linear_forms(pres: IdealPresentation, forms: list[Polynomial],
                        spair_cap: int = DEFAULT_SPAIR_CAP,
                        ) -> tuple[IdealPresentation, list[bool], list[IntPoly]]:
     """Quotient by the forms in order; forms are given in the original ring
-    and re-expressed in each intermediate ring by label."""
-    current = pres
-    regular: list[bool] = []
-    numerators: list[IntPoly] = []
-    numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    and re-expressed in each intermediate ring by label.  Each form must be
+    a nonzero homogeneous form of degree 1 (the rule of
+    groebner.leading_variable), or InputError before any work."""
     original_labels = pres.labels
     for ell in forms:
         if ell.width != len(original_labels):
             raise InputError("forms must live in the original ring")
+        leading_variable(ell)
+    current = pres
+    regular: list[bool] = []
+    numerators: list[IntPoly] = []
+    numerator = hilbert_series(pres, spair_cap=spair_cap).numerator
+    for ell in forms:
         label_pos = {lab: i for i, lab in enumerate(current.labels)}
         terms = {}
         for m, c in ell.terms.items():

@@ -1,6 +1,7 @@
 """Graded bases, Betti tables of the residue field, Koszul verdicts,
 transfer consistency."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +18,7 @@ from koszulforge.graphs import complete, cycle, parse_graph
 from koszulforge.groebner import (IdealPresentation, multiplication_table,
                                   reduced_gb)
 from koszulforge.hilbert import hilbert_series, poly1_series_coeffs
+from koszulforge.linalg import to_field
 from koszulforge.paper_suite import paper_artinian_reduction
 from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
@@ -157,6 +159,18 @@ def test_betti_characteristic_agreement_with_fraction_coefficients():
                            (4, 4): 19}
 
 
+def test_betti_action_coefficient_divisible_by_p():
+    # y * x = 3 x^2 in K[x, y]/(xy - 3x^2): over GF(3) that action
+    # coefficient is 0, and the ring is K[x, y]/(xy), with the same table
+    labels = ("x", "y")
+    pres = IdealPresentation(labels, (parse_polynomial("x*y - 3*x^2",
+                                                       labels),))
+    A = graded_basis(pres, degree_cap=4)
+    table = betti_table(A, 3, 4, characteristic=3)
+    assert table.entries == betti_table(A, 3, 4).entries
+    assert nonzero(table) == {(0, 0): 1, (1, 1): 2, (2, 2): 2, (3, 3): 2}
+
+
 def test_betti_bounds_validation():
     A = graded_basis(IdealPresentation(("x",), ()), degree_cap=2)
     with pytest.raises(InputError):
@@ -230,6 +244,73 @@ def test_workload_tables_pinned(workload_reductions, name, bounds,
     A = graded_basis(workload_reductions[name], degree_cap=bounds[1])
     table = betti_table(A, *bounds, characteristic=characteristic)
     assert table.entries == grid(*bounds, expected)
+
+
+@pytest.mark.parametrize("name, bounds, work", [
+    ("cbar", (5, 5), (6868, 2735, 14, 6997, 12680)),
+    ("family", (4, 5), (12775, 5241, 12, 3343, 6550)),
+])
+def test_workload_elimination_work_pinned(workload_reductions, monkeypatch,
+                                          name, bounds, work):
+    # insert calls, rank-raising inserts, kernel eliminations, their columns
+    # and the entries of their pivot rows, first counted with a key-set
+    # intersection per elimination step and one variable per module action:
+    # a change to either loop that changes the work shows here
+    counts = dict.fromkeys(["inserts", "raising", "kernels", "columns",
+                            "pivot_entries"], 0)
+    insert = betti.Eliminator.insert
+    kernel_of_columns = betti.Eliminator.kernel_of_columns
+
+    def counted_insert(self, vec):
+        raised = insert(self, vec)
+        counts["inserts"] += 1
+        counts["raising"] += raised
+        return raised
+
+    def counted_kernel(self, columns):
+        kernel = kernel_of_columns(self, columns)
+        counts["kernels"] += 1
+        counts["columns"] += len(columns)
+        counts["pivot_entries"] += sum(map(len, self.pivots.values()))
+        return kernel
+
+    monkeypatch.setattr(betti.Eliminator, "insert", counted_insert)
+    monkeypatch.setattr(betti.Eliminator, "kernel_of_columns", counted_kernel)
+    A = graded_basis(workload_reductions[name], degree_cap=bounds[1])
+    betti_table(A, *bounds)
+    assert tuple(counts.values()) == work
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+def test_one_pass_action_is_each_variable_alone(characteristic):
+    A = graded_basis(paper_artinian_reduction(3), degree_cap=4)
+    action = betti._action_table(A, 4, characteristic)
+    width = A.action.width
+    rng = random.Random(characteristic)
+    for _ in range(200):
+        degrees = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+        n = len(degrees)
+        j = rng.randint(max(degrees), 3)
+        coords = [b * n + g for g, d in enumerate(degrees)
+                  for b in range(A.dimension(j - d))]
+        vec = {k: rng.randint(1, 5) for k in rng.sample(coords, min(
+            len(coords), rng.randint(1, 6)))}
+        together = betti._module_action(action, degrees, range(width), j,
+                                        vec, characteristic)
+        assert together == [betti._module_action(action, degrees, (v,), j,
+                                                 vec, characteristic)[0]
+                            for v in range(width)]
+        # against the column of each variable read off the ring itself
+        for v, prod in enumerate(together):
+            want: dict = {}
+            for key, c in vec.items():
+                b, g = divmod(key, n)
+                col = A.action.column(j - degrees[g], v)[b]
+                for row, coeff in col.items():
+                    k = row * n + g
+                    want[k] = want.get(k, 0) + c * coeff
+            want = {k: to_field(x, characteristic) for k, x in want.items()}
+            assert prod == {k: x for k, x in want.items() if x}
 
 
 def test_exactness_check_rejects_a_wrong_map(monkeypatch):

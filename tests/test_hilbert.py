@@ -21,7 +21,7 @@ from koszulforge.hilbert import (SocleData, apply_linear_forms,
 from koszulforge.paper_suite import (cbar_ideal, expected_artinian_generators,
                                      paper_artinian_reduction,
                                      paper_linear_forms)
-from koszulforge.polyring import Polynomial, TermOrder
+from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
@@ -404,6 +404,21 @@ def test_regular_form_composition_recovers_h_numerator():
     # and the artinian quotient's h-polynomial is the original h-vector
     assert all(num == hd.numerator for num in numerators)
     assert hilbert_series(art).h_vector == hd.h_vector
+
+
+@pytest.mark.parametrize("text", ["y_{1}^2", "y_{1}*y_{2}", "y_{1} + y_{2}^2",
+                                  "0*y_{1}"])
+def test_apply_linear_forms_rejects_a_form_not_linear(text):
+    # each term used to be read by its first variable, its exponent dropped,
+    # so y_{1}^2 and y_{1}*y_{2} were taken as y_{1} and reported regular
+    pres = toric_ideal(monomial_map(parse_graph("cycle(5)"))).presentation
+    form = parse_polynomial(text, pres.labels)
+    with pytest.raises(InputError, match="degree-1 form"):
+        apply_linear_forms(pres, [form])
+    # also when it follows a good form: the check comes before any work
+    good = parse_polynomial("y_{1}", pres.labels)
+    with pytest.raises(InputError, match="degree-1 form"):
+        apply_linear_forms(pres, [good, form])
 
 
 def test_family_series_formula():

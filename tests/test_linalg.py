@@ -1,15 +1,17 @@
 """Sparse exact elimination: ranks and kernels against dense oracles, and
 the characteristic that names the field."""
 
+import heapq
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszulforge import linalg
 from koszulforge.errors import InputError
 from koszulforge.linalg import (Eliminator, check_characteristic, columns_rank,
                                 to_field)
@@ -139,6 +141,118 @@ def test_fraction_free_elimination(rows):
         gf = Eliminator(p)
         gf.kernel_of_columns([{i: x % p for i, x in c.items()} for c in cols])
         assert all(row[head] == 1 for head, row in gf.pivots.items())
+
+
+class SetIntersectionEliminator(Eliminator):
+    """The elimination loop before pivots came from a heap: each step finds
+    the smallest pivot position present by intersecting key sets, and a
+    kernel column's head is its least entry below the augmented block."""
+
+    def reduce(self, vec):
+        p = self.characteristic
+        if p:
+            out = dict(vec)
+        else:
+            den = lcm(*(Fraction(v).denominator for v in vec.values()))
+            out = {k: int(v * den) for k, v in vec.items()}
+        piv = self.pivots
+        while True:
+            common = piv.keys() & out.keys()
+            if not common:
+                break
+            head = min(common)
+            row = piv[head]
+            c = out.pop(head)
+            a = row[head]
+            if a != 1:
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                if a != 1:
+                    for k in out:
+                        out[k] *= a
+            for k, v in row.items():
+                if k == head:
+                    continue
+                s = out.get(k, 0) - c * v
+                if p:
+                    s %= p
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        if not p and out:
+            g = gcd(*out.values())
+            if g != 1:
+                out = {k: v // g for k, v in out.items()}
+        return out
+
+    def kernel_vectors(self, columns):
+        offset = 1 + max((max(c) for c in columns if c), default=0)
+        for j, col in enumerate(columns):
+            aug = dict(col)
+            aug[offset + j] = 1
+            residual = self.reduce(aug)
+            head = [k for k in residual if k < offset]
+            if head:
+                self._add_pivot(min(head), residual)
+            else:
+                yield {k - offset: v for k, v in residual.items()}
+
+
+@st.composite
+def elimination_runs(draw):
+    """A field, vectors to insert and vectors to reduce: up to 4 entries on
+    at most 8 positions, so that pivot chains cascade and positions cancel
+    and come back; over Q ints and Fractions mixed."""
+    p = draw(st.sampled_from([0, 32003]))
+    small = st.integers(-3, 3).filter(bool)
+    if p:
+        entry = small.map(lambda x: x % p)
+    else:
+        entry = small | st.builds(Fraction, small, st.integers(1, 4))
+    size = draw(st.integers(2, 8))
+    vectors = st.lists(st.dictionaries(st.integers(0, size - 1), entry,
+                                       min_size=1, max_size=4),
+                       min_size=1, max_size=12)
+    return p, draw(vectors), draw(vectors)
+
+
+@given(elimination_runs())
+@settings(max_examples=300, deadline=None)
+def test_heap_eliminates_as_the_set_intersection_loop(run):
+    p, inserted, probes = run
+    heap, old = Eliminator(p), SetIntersectionEliminator(p)
+    for vec in inserted:
+        assert heap.insert(vec) == old.insert(vec)
+        assert heap.pivots == old.pivots
+    for vec in probes + inserted:
+        residual = heap.reduce(vec)
+        assert residual == old.reduce(vec)
+        assert all(type(v) is int for v in residual.values())
+    heap, old = Eliminator(p), SetIntersectionEliminator(p)
+    assert (list(heap.kernel_vectors(inserted))
+            == list(old.kernel_vectors(inserted)))
+    assert heap.pivots == old.pivots
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_a_position_cancelled_and_recreated_is_eliminated_once(p, monkeypatch):
+    # eliminating 0 cancels 2 and creates 1; eliminating 1 creates 2 again,
+    # which is pushed a second time; the stale entry is skipped
+    pushed = []
+    monkeypatch.setattr(linalg, "heappush",
+                        lambda heap, k: (pushed.append(k),
+                                         heapq.heappush(heap, k)))
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 4: 1}]
+    heap, old = Eliminator(p), SetIntersectionEliminator(p)
+    for row in rows:
+        heap.insert(row)
+        old.insert(row)
+    residual = heap.reduce({0: 1, 2: 1})
+    assert residual == old.reduce({0: 1, 2: 1})
+    assert residual == ({3: 1, 4: p - 1} if p else {3: 1, 4: -1})
+    assert pushed == [1, 2]
 
 
 def test_rational_elimination_never_yields_floats():

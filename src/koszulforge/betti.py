@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .groebner import (DEFAULT_SPAIR_CAP, GroebnerBasis, IdealPresentation,
                        MultiplicationTable, multiplication_table, reduced_gb)
 from .hilbert import regular_linear_system
@@ -307,9 +307,11 @@ class KoszulConfig:
     marking_cap: int = DEFAULT_MARKING_CAP
 
     def check(self) -> None:
-        """check_characteristic, then check_bounds: a check to run before
-        any work."""
+        """check_characteristic, the caps, then check_bounds: a check to run
+        before any work."""
         check_characteristic(self.characteristic)
+        check_cap("spair_cap", self.spair_cap)
+        check_cap("marking_cap", self.marking_cap)
         check_bounds(self.i_max, self.j_max)
 
 

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .betti import DEFAULT_BETTI_BOUNDS, KoszulConfig, koszul_verdict
 from .cache import ResultCache, cache_key, default_cache_dir
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .graphs import classify, enumerate_graphs, parse_graph, stable_sets
 from .groebner import DEFAULT_SPAIR_CAP, reduced_gb
 from .hilbert import gorenstein_certificate, hilbert_series
@@ -177,6 +177,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    # a negative cap is malformed input, refused before any work
+    for flag in ("spair_cap", "marking_cap"):
+        if flag in vars(args):
+            check_cap("--" + flag.replace("_", "-"), vars(args)[flag])
 
     if cmd == "stable-sets":
         g = parse_graph(args.graph)

@@ -10,6 +10,14 @@ pairs wait in a heap; a pair the criteria discard later is skipped when it
 is popped.  Each basis element keeps its leading monomial and its order
 key.  Everything is exact over the rationals and deterministic.
 
+The update after adding h creates the pairs that Gebauer and Moeller's pop
+loop over a fresh set of G keeps, in one pass: the lcms lcm(h, g), g in G,
+are minimalized as ``minimal_packed`` does, and for each minimal one that
+no coprime g shares, the pair with the last element, in the set's
+iteration order, that has it.  The iteration order of a set of small ints
+is fixed, whatever the hash seed.  An lcm of h with a pending pair's
+element is computed only when lm(h) divides that pair's lcm.
+
 There is one way into a basis G (``_Engine.enter``): the input generators,
 in order of their leading keys, the form l of a resumed quotient and every
 S-polynomial alike are reduced against G, added unless they vanish, and
@@ -47,8 +55,9 @@ are machine ints:
   is rebuilt only when the basis changes.  A reduced basis keeps the
   reducers Buchberger built, with the order keys of their monomials, for
   its leading monomials, its initial ideal, every normal form taken
-  against it and its standard-monomial action.  Its public elements are
-  monic Polynomials over Q.
+  against it and its standard-monomial action, of which it has one
+  (``GroebnerBasis.action``).  Its public elements are monic Polynomials
+  over Q.
 """
 
 from __future__ import annotations
@@ -61,11 +70,11 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .linalg import Eliminator
-from .polyring import (EXP_MAX, FIELD_BITS, FIELD_MAX, Monomial, Polynomial,
-                       TermOrder, _raw, check_packed, guard_mask, mono_degree,
-                       pack, packed_degree, packed_lcm, unpack)
+from .polyring import (EXP_BITS, EXP_MAX, FIELD_BITS, FIELD_MAX, Monomial,
+                       Polynomial, TermOrder, _raw, check_packed, guard_mask,
+                       mono_degree, pack, packed_degree, packed_lcm, unpack)
 
 DEFAULT_SPAIR_CAP = 10 ** 6
 
@@ -131,6 +140,12 @@ class GroebnerBasis:
             lm = max(terms, key=keys.__getitem__)
             reducers.append((lm, _primitive(terms, lm)))
         return guard_mask(self.order.width), keys, tuple(reducers)
+
+    @cached_property
+    def action(self) -> "StandardAction":
+        """The standard-monomial bases and variable actions of K[Y]/I, one
+        per basis, so that every caller shares what each has built."""
+        return StandardAction(self)
 
     @property
     def max_degree(self) -> int:
@@ -401,47 +416,51 @@ class _Engine:
         unless it vanishes, add it and run the pair update.  Reduced, its
         leading monomial is divisible by none in G, and the update drops
         every element of G that it divides, so the leading monomials of G
-        stay an antichain."""
+        stay an antichain.  The remainder's terms come in decreasing order,
+        so its first is the leading one."""
         h = _reduce_dict(terms, self.basis_reducers(), self.keys, self.guard)[0]
         if h:
-            lm = max(h, key=self.key)
+            lm = next(iter(h))
             self.update(self.add_reducer((lm, _primitive(h, lm))))
 
     def update(self, ih: int) -> None:
-        """Gebauer-Moeller pair update after adding basis element ih."""
+        """Gebauer-Moeller pair update after adding basis element ih.
+
+        The pair (h, g), g in G, is created iff lm(h) and lm(g) are not
+        coprime, no lcm(h, p), p in G, properly divides lcm(h, g), no p
+        with coprime lm(p) shares lcm(h, g), and g is the last, in the
+        iteration order of a fresh set of G, of the elements that share it.
+        That is what the pop loop of Gebauer and Moeller keeps when it pops
+        that set; here the distinct lcms are minimalized in one pass.
+        """
         lms, guard = self.lms, self.guard
         mh = lms[ih]
-        # lcm(mh, lm_g) for every element so far: pairs in B may involve
-        # elements that have already left G
-        lcm_h = [packed_lcm(mh, m, guard) for m in lms]
-        C = set(self.G)
-        D: list[int] = []
-        E: list[int] = []
-        while C:
-            ig = C.pop()
-            lcm_hg = lcm_h[ig]
-            if mh + lms[ig] == lcm_hg:
-                D.append(ig)
-                continue
-            # chain criterion: drop (h, g) when lcm(h, p) | lcm(h, g) for a
-            # p still in C or already kept in D
-            lcm_guarded = lcm_hg | guard
-            for ip in chain(C, D):
-                if (lcm_guarded - lcm_h[ip]) & guard == guard:
-                    break
+        mh_guarded = mh | guard
+        coprime: set[int] = set()
+        last: dict[int, int] = {}
+        for ig in set(self.G):
+            m = lms[ig]
+            # lcm(mh, m): the fields where mh >= m from mh, the others from m
+            ge = (mh_guarded - m) & guard
+            mask = ge - (ge >> EXP_BITS)
+            lcm = (mh & mask) | (m & ~mask)
+            if lcm == mh + m:
+                coprime.add(lcm)
             else:
-                D.append(ig)
-                E.append(ig)
+                last[lcm] = ig
         B = self.B
         for pair in [pair for pair, lcm12 in B.items()
                      if ((lcm12 | guard) - mh) & guard == guard
-                     and lcm_h[pair[0]] != lcm12 and lcm_h[pair[1]] != lcm12]:
+                     and packed_lcm(mh, lms[pair[0]], guard) != lcm12
+                     and packed_lcm(mh, lms[pair[1]], guard) != lcm12]:
             del B[pair]
-        for ig in E:
-            pair, lcm = (ih, ig), lcm_h[ig]
-            B[pair] = lcm
-            heappush(self.heap, (packed_degree(lcm, self.width),
-                                 self.key(lcm), pair))
+        heap, key, width = self.heap, self.key, self.width
+        for lcm in minimal_packed(chain(coprime, last), guard):
+            ig = last.get(lcm)
+            if ig is not None and lcm not in coprime:
+                pair = (ih, ig)
+                B[pair] = lcm
+                heappush(heap, (packed_degree(lcm, width), key(lcm), pair))
         self.G = {ig for ig in self.G
                   if ((lms[ig] | guard) - mh) & guard != guard}
         self.G.add(ih)
@@ -485,9 +504,10 @@ def reduced_gb(pres: IdealPresentation, order: TermOrder,
     failure, never a silent truncation.  The grevlex basis of a presentation
     with an ``origin`` (R, l) is resumed from the grevlex basis of R, found
     under the same cap, and the cap counts the S-pairs of the resumed run.
+    A negative cap is an InputError.
     """
     # positional, so that calls with and without spair_cap= share an entry
-    return _buchberger(pres, order, spair_cap)
+    return _buchberger(pres, order, check_cap("spair_cap", spair_cap))
 
 
 @lru_cache(maxsize=512)
@@ -818,9 +838,10 @@ class StandardAction:
         cols = []
         for mono in self._positions(d):
             prod = mono + unit
-            if not self.initial._contains_product(prod, v):
-                # a product outside the initial ideal is its own normal form
-                cols.append({target[prod]: 1})
+            at = target.get(prod)
+            if at is not None:
+                # a standard product is its own normal form
+                cols.append({at: 1})
             else:
                 nf, scale = _reduce_dict({prod: 1}, reducers, keys, guard)
                 cols.append({target[m]: _quotient(c, scale)
@@ -845,7 +866,7 @@ class MultiplicationTable:
 
 def multiplication_table(gb: GroebnerBasis, degree_cap: int) -> MultiplicationTable:
     """Coordinatize K[Y]/I up to a degree cap via its standard monomials."""
-    return MultiplicationTable(StandardAction(gb), degree_cap)
+    return MultiplicationTable(gb.action, degree_cap)
 
 
 # ---------------------------------------------------------------------------

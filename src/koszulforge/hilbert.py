@@ -342,8 +342,8 @@ def socle(pres: IdealPresentation, spair_cap: int = DEFAULT_SPAIR_CAP) -> SocleD
     """
     if hilbert_series(pres, spair_cap=spair_cap).krull_dim != 0:
         raise InputError("socle is defined here only for artinian quotients")
-    action = StandardAction(reduced_gb(pres, TermOrder.grevlex(pres.width),
-                                       spair_cap=spair_cap))
+    action = reduced_gb(pres, TermOrder.grevlex(pres.width),
+                        spair_cap=spair_cap).action
     variables = [[(v, 1)] for v in range(pres.width)]
     witnesses: list[Polynomial] = []
     by_degree: list[tuple[int, int]] = []
@@ -538,6 +538,9 @@ def find_regular_linear_system(pres: IdealPresentation,
             ) -> tuple[list[Polynomial], IdealPresentation] | None:
         if slot == start.krull_dim:
             return [], current
+        # an action of its own, freed with this frame: the basis's shared
+        # one would keep the columns of every ring the search visits alive
+        # for as long as the basis stays memoised
         action = StandardAction(reduced_gb(
             current, TermOrder.grevlex(current.width), spair_cap=spair_cap))
         for cand in lsop_candidates(current.labels, DEFAULT_LSOP_SEED + slot):

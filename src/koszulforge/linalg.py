@@ -93,8 +93,13 @@ class Eliminator:
         entry c is cleared as (a/g)*out - (c/g)*row with g = gcd(a, c); over
         GF(p) every head is 1, so only the subtraction remains.
         """
+        out = vec if self.characteristic else _integral(vec)
+        return self._reduce(dict(out) if out is vec else out)
+
+    def _reduce(self, out: dict) -> dict:
+        """reduce, in place on a vector of the caller's own, with int
+        entries over Q."""
         p = self.characteristic
-        out = dict(vec) if p else _integral(vec)
         piv = self.pivots
         heads = [k for k in out if k in piv]
         heapify(heads)
@@ -171,11 +176,12 @@ class Eliminator:
         that a caller can stop at the first one."""
         if self.pivots:
             raise ValueError("kernel_of_columns needs a fresh Eliminator")
+        p = self.characteristic
         offset = 1 + max((max(c) for c in columns if c), default=0)
         for j, col in enumerate(columns):
             aug = dict(col)
             aug[offset + j] = 1
-            residual = self.reduce(aug)
+            residual = self._reduce(aug if p else _integral(aug))
             # the augmented entry offset + j survives, so residual is not
             # empty, and it is a kernel vector iff no column entry is left
             head = min(residual)
@@ -186,12 +192,13 @@ class Eliminator:
 
 
 def _integral(vec: dict) -> dict:
-    """vec times the lcm of its denominators, with int entries."""
+    """vec times the lcm of its denominators, with int entries: vec itself
+    when they are ints already."""
     for v in vec.values():
         if type(v) is not int:
             break
     else:
-        return dict(vec)
+        return vec
     den = lcm(*(v.denominator for v in vec.values()))
     return {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
 

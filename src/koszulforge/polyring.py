@@ -66,6 +66,11 @@ def unit_mono(width: int, index: int, exp: int = 1) -> Monomial:
 # the next field: an exponent past EXP_MAX shows as a set guard bit, and the
 # engine raises ResourceCapError on it before using the monomial again.  The
 # order key of a packed monomial is an int as well (TermOrder.packed_key).
+# For grevlex and a block order's dropped block over one increasing run of
+# variables, the usual case, the key and the degree are int arithmetic on
+# the packed int while every field is below 256 (a field sum is p % 65535);
+# other monomials and rankings read the fields byte by byte, to the same
+# int.
 
 EXP_BITS = 15
 FIELD_BITS = EXP_BITS + 1
@@ -115,7 +120,15 @@ def packed_lcm(a: int, b: int, guard: int) -> int:
     return (a & mask) | (b & ~mask)
 
 
+# the high byte of each of 256 fields: a packed monomial that leaves them
+# all clear has every field below 256, so its fields sum to p % 65535
+# (2 ** 16 = 1 mod 65535, and 256 * 255 < 65535)
+_HIGH_BYTES = int.from_bytes(b"\x00\xff" * 256, "little")
+
+
 def packed_degree(p: int, width: int) -> int:
+    if width <= 256 and not p & _HIGH_BYTES:
+        return p % 65535
     return sum(unpack(p, width))
 
 
@@ -253,27 +266,57 @@ def _fields(variables: Iterable[int]) -> Callable[[bytes], tuple[int, ...]]:
     return itemgetter(*picks) if picks else lambda b: ()
 
 
+def _descending(vs: tuple[int, ...], width: int) -> Callable[[int], int]:
+    """The int of (degree in vs, -m[vs[0]], -m[vs[1]], ...): the big-endian
+    int of the fields FIELD_MAX - m[v] under the degree.
+
+    When vs is one increasing run of fields (the identity ranking, and the
+    dropped block of every elimination here) and each of its fields is below
+    256, the int is read off the packed one: q, the run's fields, sums to
+    q % 65535, and its little-endian bytes read big-endian hold the fields
+    in reverse, each shifted up by one byte.  Any other monomial or ranking
+    takes the fields byte by byte.  Both give the same int.
+    """
+    nbytes = 2 * width
+    fields = _fields(vs)
+    run = len(vs)
+    shift = FIELD_BITS * run
+
+    def by_bytes(p: int) -> int:
+        b = bytes(fields(p.to_bytes(nbytes, "little")))
+        deg = (sum(b[::2]) << 8) + sum(b[1::2])
+        return ((deg + 1) << shift) - 1 - int.from_bytes(b, "big")
+
+    if not vs or vs != tuple(range(vs[0], vs[0] + run)) or run > 256:
+        return by_bytes
+    low, mask = FIELD_BITS * vs[0], (1 << shift) - 1
+    high = _HIGH_BYTES & mask
+    nrun = 2 * run
+
+    def from_int(p: int) -> int:
+        q = (p >> low) & mask
+        if q & high:
+            return by_bytes(p)
+        return (((q % 65535 + 1) << shift) - 1
+                - (int.from_bytes(q.to_bytes(nrun, "little"), "big") >> 8))
+
+    return from_int
+
+
 def _packed_key(order: TermOrder) -> tuple[Callable[[int], int], int]:
     """The packed key of an order and a bit length that bounds it.
 
     A descending-field tuple ``(-m[v] for v in vs)`` becomes the big-endian
-    int of the fields ``FIELD_MAX - m[v]``; a pair of keys becomes
-    ``(first << bits(second)) + second`` with both parts nonnegative.
+    int of the fields ``FIELD_MAX - m[v]`` (``_descending``); a pair of keys
+    becomes ``(first << bits(second)) + second`` with both parts
+    nonnegative.
     """
     width, kind = order.width, order.kind
     nbytes = 2 * width
     if kind in ("grevlex", "block"):
         vs = order.ranking if kind == "grevlex" else order.dropped
-        fields = _fields(vs)
-        shift = FIELD_BITS * len(vs)
-        bits = shift + (len(vs) * FIELD_MAX).bit_length()
-
-        def descending(p: int) -> int:
-            # (degree in vs, -m[vs[0]], -m[vs[1]], ...)
-            b = bytes(fields(p.to_bytes(nbytes, "little")))
-            deg = (sum(b[::2]) << 8) + sum(b[1::2])
-            return ((deg + 1) << shift) - 1 - int.from_bytes(b, "big")
-
+        descending = _descending(vs, width)
+        bits = FIELD_BITS * len(vs) + (len(vs) * FIELD_MAX).bit_length()
         if kind == "grevlex":
             return descending, bits
         tie, tie_bits = _packed_key(order.tiebreak)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .exactlp import feasible_strict, nonnegative_shift
 from .groebner import DEFAULT_SPAIR_CAP, GroebnerBasis, reduced_gb
 from .hilbert import hilbert_series, monomial_numerator
@@ -164,10 +164,11 @@ def decide_quadratic_gb(ideal: ToricIdeal,
     ideal is exactly the set of non-minimal degree-2 fiber class members
     under the order's marking.  Decisions are memoized per (ideal, caps),
     and every feasible marking is kept with its weight witness, in product
-    order.
+    order.  A negative cap is an InputError.
     """
     # positional, so that calls with and without keywords share an entry
-    return _decide(ideal, marking_cap, spair_cap)
+    return _decide(ideal, check_cap("marking_cap", marking_cap),
+                   check_cap("spair_cap", spair_cap))
 
 
 @lru_cache(maxsize=64)

@@ -15,7 +15,8 @@ from koszulforge.betti import (BettiTable, KoszulConfig, artinian_reduction,
                                transfer_check)
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import complete, cycle, parse_graph
-from koszulforge.groebner import (IdealPresentation, multiplication_table,
+from koszulforge.groebner import (IdealPresentation, MultiplicationTable,
+                                  StandardAction, multiplication_table,
                                   reduced_gb)
 from koszulforge.hilbert import hilbert_series, poly1_series_coeffs
 from koszulforge.linalg import to_field
@@ -57,6 +58,22 @@ def test_graded_basis_heptagon_ring_dims():
     ideal = closed_form_generators("cbar", 3)
     A = graded_basis(ideal.presentation, degree_cap=3)
     assert list(A.dimensions()) == expected
+
+
+def test_graded_basis_calls_share_one_action():
+    # the tables over Q and over GF(p) read the same bases and columns
+    art = paper_artinian_reduction(3)
+    first = graded_basis(art, degree_cap=5)
+    second = graded_basis(art, degree_cap=5)
+    gb = reduced_gb(art, TermOrder.grevlex(art.width))
+    assert first.action is second.action is gb.action
+    over_q = betti_table(first, 4, 5)
+    over_p = betti_table(second, 4, 5, characteristic=32003)
+    assert over_q.entries == over_p.entries
+    assert over_q.get(3, 4) == 1
+    # a fresh, unshared action gives the same table
+    alone = MultiplicationTable(StandardAction(gb), 5)
+    assert betti_table(alone, 4, 5).entries == over_q.entries
 
 
 def test_graded_basis_dims_match_hilbert_function():

@@ -221,6 +221,37 @@ def test_negative_betti_bound_is_rejected_before_any_work(capsys, monkeypatch,
     assert "bounds must be nonnegative" in err and not out
 
 
+@pytest.mark.parametrize("argv", [
+    ("toric-ideal", "cycle(5)", "--spair-cap", "-1"),
+    ("groebner", "cycle(5)", "--spair-cap", "-1", "--no-cache"),
+    ("qgb", "cycle(5)", "--marking-cap", "-5", "--no-cache"),
+    ("koszul", "cycle(5)", "--spair-cap", "-1"),
+    ("analyze", "cycle(5)", "--spair-cap", "-1"),
+    ("analyze", "cycle(5)", "--marking-cap", "-1"),
+])
+def test_negative_cap_is_an_input_error(capsys, argv):
+    # a cap of -1 is malformed, not a budget to raise: exit 1, not 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "must be nonnegative" in err
+    assert not out
+
+
+@pytest.mark.parametrize("options", [KoszulConfig(spair_cap=-1),
+                                     KoszulConfig(marking_cap=-1)])
+def test_negative_cap_fails_the_config_check(options):
+    with pytest.raises(InputError, match="must be nonnegative"):
+        options.check()
+    with pytest.raises(InputError, match="must be nonnegative"):
+        analyze("cycle(5)", options)
+
+
+def test_zero_spair_cap_is_a_resource_cap(capsys):
+    code, _, err = run_cli(capsys, "toric-ideal", "cycle(5)", "--spair-cap", "0")
+    assert code == 2
+    assert "S-pair budget of 0 exceeded" in err
+
+
 def test_analyze_rejects_composite_characteristic():
     with pytest.raises(InputError):
         analyze("cycle(4)", KoszulConfig(characteristic=6))

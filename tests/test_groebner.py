@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 
 from koszulforge.errors import InputError, ResourceCapError
 from koszulforge.graphs import parse_graph
-from koszulforge.groebner import (IdealPresentation, StandardAction,
-                                  eliminate, initial_ideal, monomial_ideal,
+from koszulforge.groebner import (DEFAULT_SPAIR_CAP, IdealPresentation,
+                                  StandardAction, _Engine, eliminate,
+                                  initial_ideal, monomial_ideal,
                                   multiplication_table, normal_form,
                                   reduced_gb, spolynomial, standard_monomials)
-from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
+from koszulforge.polyring import (Polynomial, TermOrder, guard_mask, pack,
+                                  packed_divides, packed_lcm, parse_polynomial,
+                                  unpack)
 from koszulforge.toric import closed_form_generators, monomial_map, toric_ideal
 
 
@@ -210,9 +213,9 @@ def test_spair_cap_is_hard_failure():
 @pytest.mark.parametrize("spec, elimination, grevlex",
                          [("cycle(5)", 261, 25), ("paper:G4", 483, 52),
                           ("complement(cycle(7))", 736, 58),
-                          ("paper:G1", 636, 77)],
+                          ("paper:G1", 636, 77), ("paper:family(3)", 3489, 58)],
                          ids=["cycle(5)", "paper:G4", "complement(cycle(7))",
-                              "paper:G1"])
+                              "paper:G1", "paper:family(3)"])
 def test_spair_count_is_pinned(spec, elimination, grevlex):
     # processed S-pairs of the elimination and of the grevlex basis of its
     # result; a change in pair selection or pruning moves these counts
@@ -224,6 +227,63 @@ def test_spair_count_is_pinned(spec, elimination, grevlex):
     reduced_gb(ideal.presentation, order, spair_cap=grevlex)
     with pytest.raises(ResourceCapError):
         reduced_gb(ideal.presentation, order, spair_cap=grevlex - 1)
+
+
+def pop_loop_update(lms, G, B, ih, guard):
+    """The Gebauer-Moeller update as a pop loop runs it: pop the elements
+    of a fresh set of G one by one, and keep (h, g) unless lm(h) and lm(g)
+    are coprime or lcm(h, p) divides lcm(h, g) for a p still to pop or
+    already kept.  Returns the pairs created, B pruned, and G after."""
+    mh = lms[ih]
+    lcm_h = [packed_lcm(mh, m, guard) for m in lms]
+    C, D, E = set(G), [], []
+    while C:
+        ig = C.pop()
+        if mh + lms[ig] == lcm_h[ig]:
+            D.append(ig)
+            continue
+        if not any(packed_divides(lcm_h[ip], lcm_h[ig], guard)
+                   for ip in itertools.chain(C, D)):
+            D.append(ig)
+            E.append(ig)
+    pruned = {pair: lcm12 for pair, lcm12 in B.items()
+              if not (packed_divides(mh, lcm12, guard)
+                      and lcm_h[pair[0]] != lcm12 and lcm_h[pair[1]] != lcm12)}
+    after = {ig for ig in G if not packed_divides(mh, lms[ig], guard)} | {ih}
+    return {(ih, ig): lcm_h[ig] for ig in E}, pruned, after
+
+
+@st.composite
+def update_states(draw):
+    """Leading monomials, a basis G among all but the last of them (its
+    indices spread, so that a set of them does not iterate in sorted
+    order), pending pairs with their lcms, and the new element, the last."""
+    width = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * width)
+    lms = [pack(m) for m in draw(st.lists(mono, min_size=2, max_size=48))]
+    ih = len(lms) - 1
+    G = draw(st.sets(st.integers(0, ih - 1)))
+    guard = guard_mask(width)
+    pairs = draw(st.sets(st.tuples(st.integers(0, ih - 1),
+                                   st.integers(0, ih - 1))
+                         .filter(lambda ij: ij[0] > ij[1]), max_size=30))
+    B = {pair: packed_lcm(lms[pair[0]], lms[pair[1]], guard) for pair in pairs}
+    return width, lms, G, B, ih
+
+
+@given(update_states())
+@settings(max_examples=400)
+def test_update_creates_and_prunes_the_pairs_of_the_pop_loop(state):
+    width, lms, G, B, ih = state
+    created, pruned, after = pop_loop_update(lms, G, B, ih, guard_mask(width))
+    eng = _Engine(TermOrder.grevlex(width), DEFAULT_SPAIR_CAP)
+    eng.lms, eng.G, eng.B = list(lms), set(G), dict(B)
+    eng.update(ih)
+    assert eng.B == {**pruned, **created}
+    assert eng.G == after
+    assert sorted(eng.heap) == sorted(
+        (sum(unpack(lcm, width)), eng.key(lcm), pair)
+        for pair, lcm in created.items())
 
 
 @st.composite

@@ -70,6 +70,17 @@ def test_kernel_vectors_annihilate_columns():
             assert vec  # kernel vectors are nonzero
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_kernel_vectors_leave_the_columns_unmodified(p):
+    cols = [{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: 1}, {1: 3}, {}, {0: -4, 2: 5}]
+    if p:
+        cols = [{i: to_field(x, p) for i, x in c.items()} for c in cols]
+    copies = [dict(c) for c in cols]
+    kernel = Eliminator(p).kernel_of_columns(cols)
+    assert len(kernel) == 2
+    assert cols == copies
+
+
 def test_insert_reports_rank_growth():
     elim = Eliminator()
     assert elim.insert(sparse([1, 0, 1]))

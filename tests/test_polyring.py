@@ -2,6 +2,7 @@
 
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +323,93 @@ def test_packed_key_orders_as_the_tuple_key(case):
     by_key = sorted(monos, key=order.key)
     assert sorted(monos, key=lambda m: order.packed_key(raw_pack(m))) == by_key
     assert all(isinstance(order.packed_key(raw_pack(m)), int) for m in monos)
+
+
+def byte_path_key(order):
+    """The packed key of a grevlex, block or weight order as the fields read
+    one by one give it, for every monomial and ranking: the reference that
+    the int shortcuts of TermOrder.packed_key must equal value for value.
+    Returns (key, bits)."""
+    width = order.width
+
+    def field(p, v):
+        return (p >> (FIELD_BITS * v)) & FIELD_MAX
+
+    if order.kind in ("grevlex", "block"):
+        vs = order.ranking if order.kind == "grevlex" else order.dropped
+        shift = FIELD_BITS * len(vs)
+        bits = shift + (len(vs) * FIELD_MAX).bit_length()
+
+        def descending(p):
+            fields = [field(p, v) for v in vs]
+            rev = sum(f << (FIELD_BITS * (len(vs) - 1 - j))
+                      for j, f in enumerate(fields))
+            return ((sum(fields) + 1) << shift) - 1 - rev
+
+        if order.kind == "grevlex":
+            return descending, bits
+        tie, tie_bits = byte_path_key(order.tiebreak)
+        keep = sum(FIELD_MAX << (FIELD_BITS * v)
+                   for v in range(width) if v not in vs)
+        return (lambda p: (descending(p) << tie_bits) + tie(p & keep),
+                bits + tie_bits)
+    scale = 1
+    for w in order.weights:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    w = [int(x * scale) for x in order.weights]
+    least = FIELD_MAX * sum(x for x in w if x < 0)
+    span = FIELD_MAX * sum(abs(x) for x in w)
+    tie, tie_bits = byte_path_key(order.tiebreak)
+    return (lambda p: ((sum(x * field(p, v) for v, x in enumerate(w)) - least)
+                       << tie_bits) + tie(p),
+            span.bit_length() + tie_bits)
+
+
+@st.composite
+def runs_and_monomials(draw):
+    """Orders whose ranked variables are mostly one increasing run: the
+    identity ranking, a contiguous dropped block, or neither; and monomials
+    whose fields sit on both sides of 256 and of the guard bit."""
+    width = draw(st.integers(0, 8))
+    identity = tuple(range(width))
+    ranking = draw(st.one_of(st.just(identity), st.permutations(identity)))
+    kind = draw(st.sampled_from(["grevlex", "weight", "block"]))
+    if kind == "grevlex":
+        order = TermOrder.grevlex(width, ranking)
+    elif kind == "weight":
+        order = TermOrder.weight(
+            draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)),
+            ranking)
+    else:
+        lo = draw(st.integers(0, width))
+        hi = draw(st.integers(lo, width))
+        dropped = draw(st.one_of(st.just(range(lo, hi)),
+                                 st.sets(st.sampled_from(identity))
+                                 if width else st.just(set())))
+        order = TermOrder.block(width, dropped, TermOrder.grevlex(width, ranking))
+    fields = st.one_of(st.integers(0, 3), st.integers(0, 255),
+                       st.sampled_from([255, 256, 257, 511, 512, EXP_MAX,
+                                        EXP_MAX + 1, FIELD_MAX]),
+                       st.integers(0, FIELD_MAX))
+    monos = draw(st.lists(st.tuples(*[fields] * width), min_size=1, max_size=8))
+    return order, monos
+
+
+@given(runs_and_monomials())
+@settings(max_examples=400)
+@example((TermOrder.grevlex(3), [(0, 0, 0), (255, 255, 255), (256, 0, 1),
+                                  (EXP_MAX + 1, 2, 0), (1, FIELD_MAX, 3)]))
+@example((TermOrder.block(5, [2, 3], TermOrder.grevlex(5)),
+          [(1, 2, 255, 256, 7), (9, 9, 0, 0, 300), (0, 0, FIELD_MAX, 1, 0)]))
+@example((TermOrder.block(5, [1, 3], TermOrder.grevlex(5, (4, 3, 2, 1, 0))),
+          [(1, 2, 3, 4, 5), (0, 256, 0, 300, 1)]))
+def test_packed_key_and_degree_equal_the_byte_path(case):
+    order, monos = case
+    key, bits = byte_path_key(order)
+    for m in monos:
+        p = raw_pack(m)
+        assert order.packed_key(p) == key(p) < 1 << bits
+        assert packed_degree(p, order.width) == sum(m)
 
 
 def test_term_order_pickles_after_packed_key_use():

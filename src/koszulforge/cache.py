@@ -5,11 +5,14 @@ order, operation, bounds), so collisions are impossible by construction and
 intact entries are immutable once written; a damaged entry reads as a miss
 and is rewritten.  Writes are atomic (temp file plus rename); an unwritable
 directory degrades to no caching with a warning, and a failed write costs
-only the entry, with a warning.
+only the entry, with a warning.  ``source_digest`` fingerprints the code
+itself, so that a caller can put it in each key and an entry does not
+outlive the code that computed it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -22,6 +25,16 @@ from pathlib import Path
 def cache_key(payload) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 of the package's own ``.py`` sources, read once per process:
+    an entry that other code wrote has another key."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 class ResultCache:

@@ -15,14 +15,14 @@ import sys
 
 from . import __version__
 from .betti import DEFAULT_BETTI_BOUNDS, KoszulConfig, koszul_verdict
-from .cache import ResultCache, cache_key, default_cache_dir
+from .cache import ResultCache, cache_key, default_cache_dir, source_digest
 from .errors import InputError, ResourceCapError, check_cap
 from .graphs import classify, enumerate_graphs, parse_graph, stable_sets
 from .groebner import DEFAULT_SPAIR_CAP, reduced_gb
 from .hilbert import gorenstein_certificate, hilbert_series
 from .polyring import TermOrder
 from .qgb import DEFAULT_MARKING_CAP, decide_quadratic_gb
-from .reports import analyze, render_text
+from .reports import SCHEMA, analyze, render_text
 from .toric import ToricIdeal, monomial_map, toric_ideal
 
 
@@ -140,13 +140,15 @@ def _cache(args) -> ResultCache:
 
 def _cached_or(args, payload_key: dict, compute):
     cache = _cache(args)
-    # the version is part of the key, so results do not outlive the code
-    key = cache_key({**payload_key, "version": __version__})
-    hit = cache.get_value(key)
-    if hit is not None:
-        return hit
-    value = compute()
-    cache.put(key, value)
+    if not cache.enabled:
+        return compute()
+    # the digest of the sources is part of the key, so results do not
+    # outlive the code that computed them
+    key = cache_key({**payload_key, "source": source_digest()})
+    value = cache.get_value(key)
+    if value is None:
+        value = compute()
+        cache.put(key, value)
     return value
 
 
@@ -270,7 +272,7 @@ def _dispatch(args) -> int:
             except ValueError:
                 raise InputError("--cases takes comma-separated case ids") from None
         results = run_cases(ids)
-        payload = {"schema": "koszul-forge/1",
+        payload = {"schema": SCHEMA,
                    "suite": [r.to_json() for r in results],
                    "all_passed": all(r.passed for r in results),
                    "timings": {r.case_id: round(r.elapsed_seconds, 3)

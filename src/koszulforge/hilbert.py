@@ -41,7 +41,6 @@ its socle.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +51,7 @@ from .groebner import (DEFAULT_SPAIR_CAP, IdealPresentation, StandardAction,
                        quotient_presentation, reduced_gb)
 from .polyring import (EXP_BITS, FIELD_BITS, FIELD_MAX, Polynomial, TermOrder,
                        guard_mask, pack, packed_degree, unit_mono, unpack)
-from .toric import ToricIdeal
+from .toric import ToricIdeal, stable_set_subset
 
 IntPoly = tuple[int, ...]  # coefficient list in t, constant term first
 
@@ -405,19 +404,6 @@ class GorensteinCertificate:
         }
 
 
-_LABEL_SET_RE = re.compile(r"^y_\{([0-9,]*)\}$")
-
-
-def _label_subset(label: str) -> tuple[int, ...] | None:
-    m = _LABEL_SET_RE.match(label)
-    if not m:
-        return None
-    body = m.group(1)
-    if not body:
-        return ()
-    return tuple(int(x) for x in body.split(","))
-
-
 DEFAULT_LSOP_SEED = 20260811
 # seeded random candidates per slot, after the structured ones
 LSOP_RANDOM_CANDIDATES = 20
@@ -437,7 +423,7 @@ def lsop_candidates(labels: tuple[str, ...], seed: int):
     rings) are tried first.
     """
     width = len(labels)
-    subsets = [_label_subset(lab) for lab in labels]
+    subsets = [stable_set_subset(lab) for lab in labels]
     top = max((max(s) for s in subsets if s), default=0) + 1
 
     def var(i: int) -> Polynomial:

@@ -1,15 +1,16 @@
 """The reproduction suite: every published computation as a checkable case.
 
-Each case returns a PASS/FAIL result with a deterministic detail payload;
-the CLI serializes them and the acceptance tests assert them.  Expensive
-artifacts (toric ideals, the marking search, Betti tables) are shared
-across cases through the per-process memos of the builders below and of
-the engine.
+Each criterion is one function registered by ``@case``: it returns
+``(passed, details)`` with a deterministic detail payload, and the decorator
+times it and wraps the pair in a ``CaseResult``.  The CLI serializes the
+results and the acceptance tests assert them.  Expensive artifacts (toric
+ideals, the marking search, Betti tables) are shared across cases through
+the engine's per-process memos.
 """
 
 from __future__ import annotations
 
-import functools
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,7 +24,7 @@ from .groebner import (IdealPresentation, initial_ideal, normal_form,
                        reduced_gb, spolynomial)
 from .hilbert import (apply_linear_forms, gorenstein_certificate,
                       hilbert_series, is_socle_element, poly1_mul, socle)
-from .polyring import Monomial, Polynomial, TermOrder
+from .polyring import Monomial, Polynomial, TermOrder, mono_mul, mono_one
 from .qgb import (cross_check_marking, decide_quadratic_gb,
                   sample_feasible_markings, series_test_for_marking)
 from .reports import analyze
@@ -50,44 +51,56 @@ class CaseResult:
 # shared builders
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def cbar_ideal(k: int):
     return closed_form_generators("cbar", k)
 
 
-@functools.cache
 def family_ideal(k: int):
     return closed_form_generators("family", k)
 
 
+def _stable_set_variables(pres: IdealPresentation) -> Callable[..., Polynomial]:
+    """y(*W) is the variable y_W of the presentation."""
+    idx = {lab: i for i, lab in enumerate(pres.labels)}
+    return lambda *subset: Polynomial.variable(
+        pres.width, idx[stable_set_label(subset)])
+
+
+def _monomials(width: int) -> Callable[..., Monomial]:
+    """mono((v, e), ...) is the monomial with exponent e on the 1-based
+    variable v, for each pair."""
+    def mono(*pairs: tuple[int, int]) -> Monomial:
+        m = [0] * width
+        for v, e in pairs:
+            m[v - 1] += e
+        return tuple(m)
+    return mono
+
+
+def _same_ideal(a: IdealPresentation, b: IdealPresentation) -> bool:
+    """Each generating set reduces to zero against the other's grevlex basis."""
+    order = TermOrder.grevlex(a.width)
+    gb_a, gb_b = reduced_gb(a, order), reduced_gb(b, order)
+    return (all(normal_form(p, gb_a).is_zero() for p in b.generators)
+            and all(normal_form(p, gb_b).is_zero() for p in a.generators))
+
+
 def paper_linear_forms(pres: IdealPresentation, k: int) -> list[Polynomial]:
     """The regular sequence: y_empty, y_i - y_{i+1,i+2}, ..., wrapping around."""
-    idx = {lab: i for i, lab in enumerate(pres.labels)}
-    width = pres.width
-
-    def var(lab: str) -> Polynomial:
-        return Polynomial.variable(width, idx[lab])
-
+    y = _stable_set_variables(pres)
     n = 2 * k + 1
-    forms = [var("y_{}")]
+    forms = [y()]
     for i in range(1, 2 * k):
-        forms.append(var(f"y_{{{i}}}") - var(f"y_{{{i + 1},{i + 2}}}"))
-    forms.append(var(f"y_{{{2 * k}}}") - var(f"y_{{1,{n}}}"))
-    forms.append(var(f"y_{{{n}}}") - var("y_{1,2}"))
+        forms.append(y(i) - y(i + 1, i + 2))
+    forms.append(y(2 * k) - y(1, n))
+    forms.append(y(n) - y(1, 2))
     return forms
 
 
 def expected_artinian_generators(k: int) -> list[Polynomial]:
     """The published generator list of the artinian reduction I_{2k+1}."""
     n = 2 * k + 1
-    width = n
-
-    def mono(*pairs) -> Monomial:
-        m = [0] * width
-        for v, e in pairs:
-            m[v - 1] += e
-        return tuple(m)
-
+    mono = _monomials(n)
     gens = []
     for i in range(1, 2 * k + 1):
         gens.append(Polynomial.monomial(mono((i, 1), (i + 1, 1))))
@@ -104,7 +117,6 @@ def expected_artinian_generators(k: int) -> list[Polynomial]:
     return gens
 
 
-@functools.cache
 def paper_artinian_reduction(k: int) -> IdealPresentation:
     ideal = cbar_ideal(k)
     forms = paper_linear_forms(ideal.presentation, k)
@@ -117,12 +129,7 @@ def paper_artinian_reduction(k: int) -> IdealPresentation:
 def paper_initial_ideal_monomials() -> set[Monomial]:
     """The 18 generators of the grevlex initial ideal of the 7-variable
     artinian reduction."""
-    def mono(*pairs) -> Monomial:
-        m = [0] * 7
-        for v, e in pairs:
-            m[v - 1] += e
-        return tuple(m)
-
+    mono = _monomials(7)
     out = {mono((i, 1), (i + 1, 1)) for i in range(1, 7)}
     out.add(mono((1, 1), (7, 1)))
     out |= {mono((i, 2)) for i in range(2, 8)}
@@ -150,8 +157,26 @@ def cbar3_qgb_decision():
 # the cases
 # ---------------------------------------------------------------------------
 
-def case_1_stable_sets() -> CaseResult:
-    t0 = time.perf_counter()
+ALL_CASES: dict[int, Callable[[], CaseResult]] = {}
+
+
+def case(case_id: int, name: str, limit_seconds: float):
+    """Register a criterion under ``case_id`` in ``ALL_CASES``.  The body
+    returns ``(passed, details)``; the registered function times it and
+    wraps the pair in a ``CaseResult``."""
+    def register(body: Callable[[], tuple[bool, dict]]):
+        def run() -> CaseResult:
+            t0 = time.perf_counter()
+            passed, details = body()
+            return CaseResult(case_id, name, passed, limit_seconds,
+                              time.perf_counter() - t0, details)
+        ALL_CASES[case_id] = run
+        return run
+    return register
+
+
+@case(1, "stable sets of odd cycle complements", 5.0)
+def case_1_stable_sets():
     ok = True
     details: dict = {}
     fam = stable_sets(complement(cycle(7)))
@@ -167,12 +192,11 @@ def case_1_stable_sets() -> CaseResult:
         counts[k] = got
         ok &= got == 4 * k + 3
     details["counts"] = counts
-    return CaseResult(1, "stable sets of odd cycle complements", ok, 5.0,
-                      time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_2_toric_ideals() -> CaseResult:
-    t0 = time.perf_counter()
+@case(2, "toric ideal elimination matches closed forms", 180.0)
+def case_2_toric_ideals():
     ok = True
     details: dict = {}
     closed_forms = [("cbar3", cbar_ideal(3)), ("cbar4", cbar_ideal(4))]
@@ -182,13 +206,7 @@ def case_2_toric_ideals() -> CaseResult:
         closed.validate()
         elim = toric_ideal(closed.map)
         elim.validate()
-        order = TermOrder.grevlex(closed.presentation.width)
-        gb_closed = reduced_gb(closed.presentation, order)
-        gb_elim = reduced_gb(elim.presentation, order)
-        both = (all(normal_form(p, gb_closed).is_zero()
-                    for p in elim.presentation.generators)
-                and all(normal_form(p, gb_elim).is_zero()
-                        for p in closed.presentation.generators))
+        both = _same_ideal(closed.presentation, elim.presentation)
         elapsed = time.perf_counter() - t1
         expected_count = {"cbar3": 14, "cbar4": 18, "family1": 15,
                           "family2": 16, "family3": 17}[name]
@@ -199,12 +217,11 @@ def case_2_toric_ideals() -> CaseResult:
                          "closed_form_generators": len(closed.presentation.generators),
                          "elimination_generators": len(elim.presentation.generators),
                          "within_limit": elapsed < 60.0}
-    return CaseResult(2, "toric ideal elimination matches closed forms", ok,
-                      180.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_3_artinian_reduction() -> CaseResult:
-    t0 = time.perf_counter()
+@case(3, "artinian reduction and its grevlex initial ideal", 10.0)
+def case_3_artinian_reduction():
     details: dict = {}
     ideal = cbar_ideal(3)
     forms = paper_linear_forms(ideal.presentation, 3)
@@ -220,12 +237,11 @@ def case_3_artinian_reduction() -> CaseResult:
     ok &= ini == paper_initial_ideal_monomials()
     details["initial_ideal_matches"] = ini == paper_initial_ideal_monomials()
     details["initial_ideal_size"] = len(ini)
-    return CaseResult(3, "artinian reduction and its grevlex initial ideal",
-                      ok, 10.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_4_hilbert_gorenstein() -> CaseResult:
-    t0 = time.perf_counter()
+@case(4, "Hilbert data and Gorensteinness of the heptagon ring", 10.0)
+def case_4_hilbert_gorenstein():
     details: dict = {}
     art = paper_artinian_reduction(3)
     hd_art = hilbert_series(art)
@@ -240,38 +256,32 @@ def case_4_hilbert_gorenstein() -> CaseResult:
     ok &= cert.verdict == "Gorenstein" and cert.socle_dimension == 1
     details["verdict"] = cert.verdict
     details["socle_dimension"] = cert.socle_dimension
-    return CaseResult(4, "Hilbert data and Gorensteinness of the heptagon ring",
-                      ok, 10.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
 def _nonminimal_socle_witnesses(k: int, art: IdealPresentation) -> list[Polynomial]:
-    idx = {lab: i for i, lab in enumerate(art.labels)}
-    width = art.width
-
-    def var(i: int) -> Polynomial:
-        return Polynomial.variable(width, idx[f"y_{{{i}}}"])
-
+    y = _stable_set_variables(art)
     n = 2 * k + 1
-    w1 = var(n) * var(n)
+    w1 = y(n) * y(n)
     for i in range(1, k):
-        w1 = w1 * var(2 * i)
+        w1 = w1 * y(2 * i)
     if k % 3 == 1:
-        w2 = Polynomial.constant(width, 1)
+        w2 = Polynomial.constant(art.width, 1)
         for i in range(1, (2 * k + 1) // 3 + 1):
-            w2 = w2 * var(3 * i)
+            w2 = w2 * y(3 * i)
     elif k % 3 == 2:
-        w2 = var(n)
+        w2 = y(n)
         for i in range(1, (2 * k - 1) // 3 + 1):
-            w2 = w2 * var(3 * i)
+            w2 = w2 * y(3 * i)
     else:
-        w2 = var(2 * k) * var(2 * k)
+        w2 = y(2 * k) * y(2 * k)
         for i in range(1, (2 * k - 3) // 3 + 1):
-            w2 = w2 * var(3 * i)
+            w2 = w2 * y(3 * i)
     return [w1, w2]
 
 
-def case_5_non_gorenstein() -> CaseResult:
-    t0 = time.perf_counter()
+@case(5, "non-Gorenstein at k = 4, 5 with published witnesses", 60.0)
+def case_5_non_gorenstein():
     ok = True
     details: dict = {}
     for k in (4, 5):
@@ -289,12 +299,12 @@ def case_5_non_gorenstein() -> CaseResult:
                             "socle_dimension": soc.dimension,
                             "witness_product_even": w1_ok,
                             "witness_mod3": w2_ok}
-    return CaseResult(5, "non-Gorenstein at k = 4, 5 with published witnesses",
-                      ok, 60.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_6_qgb_nonexistence() -> CaseResult:
-    t0 = time.perf_counter()
+@case(6, "no quadratic basis for the heptagon ring (marking exhaustion)",
+      600.0)
+def case_6_qgb_nonexistence():
     details: dict = {}
     ideal = cbar_ideal(3)
     decision = cbar3_qgb_decision()
@@ -313,13 +323,11 @@ def case_6_qgb_nonexistence() -> CaseResult:
     ok &= agree == len(samples) and len(samples) >= 100
     details["cross_checked"] = len(samples)
     details["cross_check_agreement"] = agree
-    return CaseResult(6, "no quadratic basis for the heptagon ring "
-                         "(marking exhaustion)", ok, 600.0,
-                      time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_7_koszul() -> CaseResult:
-    t0 = time.perf_counter()
+@case(7, "non-Koszul via beta_{3,4} = 1 and the full report", 600.0)
+def case_7_koszul():
     details: dict = {}
     art = paper_artinian_reduction(3)
     A = graded_basis(art, degree_cap=5)
@@ -338,12 +346,11 @@ def case_7_koszul() -> CaseResult:
     ok &= tuple(report["koszul"]["witness"][:2]) == (3, 4)
     details["headline"] = report["headline"]
     details["verdict"] = report["koszul"]["status"]
-    return CaseResult(7, "non-Koszul via beta_{3,4} = 1 and the full report",
-                      ok, 600.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_8_infinite_family() -> CaseResult:
-    t0 = time.perf_counter()
+@case(8, "infinite family: series formula and non-Koszulness", 1800.0)
+def case_8_infinite_family():
     ok = True
     details: dict = {}
     base = (1, 7, 14, 7, 1)
@@ -363,14 +370,13 @@ def case_8_infinite_family() -> CaseResult:
         A = graded_basis(red, degree_cap=4)
         table = betti_table(A, 3, 4, stop_at_first_offdiagonal=True)
         beta34 = table.get(3, 4)
-        ok &= beta34 is not None and beta34 > 0
+        ok &= beta34 == 1
         details[f"family{k}_beta34"] = beta34
-    return CaseResult(8, "infinite family: series formula and non-Koszulness",
-                      ok, 1800.0, time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_9_fixtures() -> CaseResult:
-    t0 = time.perf_counter()
+@case(9, "six-vertex fixtures", 300.0)
+def case_9_fixtures():
     ok = True
     details: dict = {}
     for name, want_h in (("G1", (1, 7, 10, 3)), ("G4", (1, 6, 8, 2))):
@@ -390,7 +396,7 @@ def case_9_fixtures() -> CaseResult:
     # G5 is covered through its ideal being the C5 ideal: no generator uses
     # the apex vertex variable and the relabelled C5 generators agree
     g5 = toric_ideal(monomial_map(parse_graph("paper:G5")))
-    apex = g5.map.source_labels.index("y_{4}")
+    apex = g5.map.source_labels.index(stable_set_label((4,)))
     no_apex = all(all(m[apex] == 0 for m in p.terms)
                   for p in g5.presentation.generators)
     relabel = {1: 1, 2: 2, 3: 3, 4: 5, 5: 6}
@@ -405,23 +411,19 @@ def case_9_fixtures() -> CaseResult:
                 target[g5.map.source_labels.index(lab)] = e
             terms[tuple(target)] = c
         mapped.append(Polynomial(g5.presentation.width, terms))
-    gb5 = reduced_gb(g5.presentation, TermOrder.grevlex(g5.presentation.width))
-    gbm = reduced_gb(IdealPresentation(g5.presentation.labels, tuple(mapped)),
-                     TermOrder.grevlex(g5.presentation.width))
-    same_ideal = (all(normal_form(p, gbm).is_zero()
-                      for p in g5.presentation.generators)
-                  and all(normal_form(p, gb5).is_zero() for p in mapped))
+    same_ideal = _same_ideal(
+        g5.presentation, IdealPresentation(g5.presentation.labels, tuple(mapped)))
     ok &= no_apex and same_ideal
     details["g5_equals_c5_ideal"] = bool(no_apex and same_ideal)
     flags3 = classify(complement(parse_graph("paper:G3")))
     ok &= flags3.bipartite
     details["g3_complement_bipartite"] = flags3.bipartite
-    return CaseResult(9, "six-vertex fixtures", ok, 300.0,
-                      time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_10_small_graph_classification() -> CaseResult:
-    t0 = time.perf_counter()
+@case(10, "n <= 5 classification: only the pentagon is not comparability",
+      120.0)
+def case_10_small_graph_classification():
     ok = True
     details: dict = {}
     totals = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
@@ -438,16 +440,13 @@ def case_10_small_graph_classification() -> CaseResult:
     ok &= len(noncomp) == 1
     details["class_counts_match"] = True
     details["non_comparability_classes"] = len(noncomp)
-    return CaseResult(10, "n <= 5 classification: only the pentagon is not "
-                          "comparability", ok, 120.0,
-                      time.perf_counter() - t0, details)
+    return ok, details
 
 
-def case_11_property_suites() -> CaseResult:
-    t0 = time.perf_counter()
+@case(11, "property suites", 600.0)
+def case_11_property_suites():
     ok = True
     details: dict = {}
-    import random
     rng = random.Random(20260811)
 
     # term order axioms on random triples
@@ -463,7 +462,6 @@ def case_11_property_suites() -> CaseResult:
             cmp_ab = order.compare(a, b)
             if (a == b) != (cmp_ab == "EQ"):
                 axiom_ok = False
-            from .polyring import mono_mul, mono_one
             if cmp_ab != order.compare(mono_mul(a, c), mono_mul(b, c)):
                 axiom_ok = False
             if order.compare(mono_one(width), a) == "GT":
@@ -525,28 +523,13 @@ def case_11_property_suites() -> CaseResult:
     ok &= char_ok
     details["char0_equals_char32003"] = char_ok
 
-    return CaseResult(11, "property suites", ok, 600.0,
-                      time.perf_counter() - t0, details)
-
-
-ALL_CASES: dict[int, Callable[[], CaseResult]] = {
-    1: case_1_stable_sets,
-    2: case_2_toric_ideals,
-    3: case_3_artinian_reduction,
-    4: case_4_hilbert_gorenstein,
-    5: case_5_non_gorenstein,
-    6: case_6_qgb_nonexistence,
-    7: case_7_koszul,
-    8: case_8_infinite_family,
-    9: case_9_fixtures,
-    10: case_10_small_graph_classification,
-    11: case_11_property_suites,
-}
+    return ok, details
 
 
 def run_cases(case_ids=None) -> list[CaseResult]:
-    """Run the requested cases (all by default), in ascending id order."""
-    ids = sorted(case_ids) if case_ids else sorted(ALL_CASES)
+    """Run the requested cases (all by default), each once, in ascending id
+    order."""
+    ids = sorted(set(case_ids or ALL_CASES))
     unknown = [i for i in ids if i not in ALL_CASES]
     if unknown:
         raise InputError(f"unknown case ids: {unknown}")

@@ -25,6 +25,19 @@ def stable_set_label(subset: tuple[int, ...]) -> str:
     return "y_{" + ",".join(str(i) for i in subset) + "}"
 
 
+def stable_set_subset(label: str) -> tuple[int, ...] | None:
+    """The inverse of ``stable_set_label``: the subset of vertices that
+    ``label`` names, or None for a label that it does not write."""
+    body = label[3:-1]
+    if not body:
+        subset = ()
+    elif all(x.isascii() and x.isdigit() for x in body.split(",")):
+        subset = tuple(int(x) for x in body.split(","))
+    else:
+        return None
+    return subset if stable_set_label(subset) == label else None
+
+
 @dataclass(frozen=True)
 class MonomialMap:
     """The map sending each stable-set variable to its lattice monomial.
@@ -125,54 +138,49 @@ def _binomial(labels_index: dict[str, int], width: int,
     return Polynomial(width, terms)
 
 
+def _cycle_complement_binomials(idx: dict[str, int], w: int,
+                                k: int) -> list[Polynomial]:
+    """The 4k+2 binomials of the complement of the (2k+1)-cycle."""
+    n = 2 * k + 1
+    gens = []
+    for i in range(1, 2 * k + 1):
+        gens.append(_binomial(idx, w, [(i,), (i + 1,)], [(), (i, i + 1)]))
+    gens.append(_binomial(idx, w, [(1,), (n,)], [(), (1, n)]))
+    for i in range(1, 2 * k):
+        gens.append(_binomial(idx, w, [(i,), (i + 1, i + 2)],
+                              [(i + 2,), (i, i + 1)]))
+    gens.append(_binomial(idx, w, [(2 * k,), (1, n)], [(1,), (2 * k, n)]))
+    gens.append(_binomial(idx, w, [(n,), (1, 2)], [(2,), (1, n)]))
+    return gens
+
+
 def closed_form_generators(family: str, k: int) -> ToricIdeal:
     """The published binomial generating sets.
 
     family="cbar": 4k+2 binomials for the complement of the (2k+1)-cycle,
     k >= 3.  family="family": 14+k binomials for the heptagon-plus-matchings
-    construction, k >= 1.
+    construction, k >= 1: the heptagon's 14, then one per matching edge.
     """
     if family == "cbar":
         if k < 3:
             raise InputError("cbar needs k >= 3")
-        g = odd_cycle_complement(k)
-        mp = monomial_map(g)
-        idx = {lab: i for i, lab in enumerate(mp.source_labels)}
-        w = mp.source_width
-        n = 2 * k + 1
-        gens = []
-        for i in range(1, 2 * k + 1):
-            gens.append(_binomial(idx, w, [( i,), (i + 1,)], [(), (i, i + 1)]))
-        gens.append(_binomial(idx, w, [(1,), (n,)], [(), (1, n)]))
-        for i in range(1, 2 * k):
-            gens.append(_binomial(idx, w, [(i,), (i + 1, i + 2)],
-                                  [(i + 2,), (i, i + 1)]))
-        gens.append(_binomial(idx, w, [(2 * k,), (1, n)], [(1,), (2 * k, n)]))
-        gens.append(_binomial(idx, w, [(n,), (1, 2)], [(2,), (1, n)]))
-        return ToricIdeal(mp, IdealPresentation(mp.source_labels, tuple(gens)),
-                          "closed_form")
-    if family == "family":
+        g, cycle_k, matched = odd_cycle_complement(k), k, ()
+    elif family == "family":
         if k < 1:
             raise InputError("family needs k >= 1")
-        g = heptagon_matching_family(k)
-        mp = monomial_map(g)
-        idx = {lab: i for i, lab in enumerate(mp.source_labels)}
-        w = mp.source_width
-        gens = []
-        for i in range(1, 7):
-            gens.append(_binomial(idx, w, [(i,), (i + 1,)], [(), (i, i + 1)]))
-        gens.append(_binomial(idx, w, [(1,), (7,)], [(), (1, 7)]))
-        for i in range(1, 6):
-            gens.append(_binomial(idx, w, [(i,), (i + 1, i + 2)],
-                                  [(i + 2,), (i, i + 1)]))
-        gens.append(_binomial(idx, w, [(6,), (1, 7)], [(1,), (6, 7)]))
-        gens.append(_binomial(idx, w, [(7,), (1, 2)], [(2,), (1, 7)]))
-        for i in range(4, k + 4):
-            gens.append(_binomial(idx, w, [(2 * i,), (2 * i + 1,)],
-                                  [(), (2 * i, 2 * i + 1)]))
-        return ToricIdeal(mp, IdealPresentation(mp.source_labels, tuple(gens)),
-                          "closed_form")
-    raise InputError(f"unknown closed form family {family!r}")
+        # the matching edges {2i, 2i+1}, i = 4 .. k+3, beside the heptagon
+        g, cycle_k, matched = heptagon_matching_family(k), 3, range(4, k + 4)
+    else:
+        raise InputError(f"unknown closed form family {family!r}")
+    mp = monomial_map(g)
+    idx = {lab: i for i, lab in enumerate(mp.source_labels)}
+    w = mp.source_width
+    gens = _cycle_complement_binomials(idx, w, cycle_k)
+    for i in matched:
+        gens.append(_binomial(idx, w, [(2 * i,), (2 * i + 1,)],
+                              [(), (2 * i, 2 * i + 1)]))
+    return ToricIdeal(mp, IdealPresentation(mp.source_labels, tuple(gens)),
+                      "closed_form")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ and asserts both the mathematical content and the stated runtime limit.
 Expensive artifacts are shared across criteria within the module.
 """
 
+import dataclasses
+
+from koszulforge import paper_suite
 from koszulforge.paper_suite import ALL_CASES, CaseResult
 
 
@@ -98,6 +101,19 @@ def test_criterion_08_infinite_family():
     assert result.details["family2"]["series_matches"]
     for k in (1, 2, 3, 4):
         assert result.details[f"family{k}_beta34"] == 1
+
+
+def test_criterion_08_requires_beta34_equal_to_1(monkeypatch):
+    real = paper_suite.betti_table
+
+    def doubled(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return dataclasses.replace(table, entries={**table.entries, (3, 4): 2})
+
+    monkeypatch.setattr(paper_suite, "betti_table", doubled)
+    result = ALL_CASES[8]()
+    assert not result.passed
+    assert result.details["family1_beta34"] == 2
 
 
 def test_criterion_09_six_vertex_fixtures():

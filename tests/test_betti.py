@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulforge import betti
+from koszulforge import betti, hilbert
 from koszulforge.betti import (BettiTable, KoszulConfig, artinian_reduction,
                                betti_table, graded_basis, koszul_verdict,
                                transfer_check)
@@ -462,6 +462,22 @@ def test_koszul_verdict_reports_bounds_when_inconclusive():
     verdict = koszul_verdict(pres, config)
     assert verdict.status == "KoszulUpToBound"
     assert verdict.bounds == (3, 4)
+
+
+def test_koszul_verdict_over_the_ring_itself(monkeypatch):
+    # with no budget for the linear-system search there is no artinian
+    # reduction, and the table is taken over the ring; the memo is emptied
+    # before and after, so that no search under the patched budget leaks
+    monkeypatch.setattr(hilbert, "LSOP_BUDGET", 0)
+    hilbert.regular_linear_system.cache_clear()
+    try:
+        pres = toric_ideal(monomial_map(parse_graph("paper:G3"))).presentation
+        verdict = koszul_verdict(pres, KoszulConfig(i_max=2, j_max=3))
+    finally:
+        hilbert.regular_linear_system.cache_clear()
+    assert verdict.status == "NonKoszul"
+    assert verdict.witness == (2, 3, 1)
+    assert "over the ring itself" in verdict.note
 
 
 def test_family_reduction_non_koszul():

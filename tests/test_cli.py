@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from koszulforge import betti, hilbert, reports
+from koszulforge import betti, cli, hilbert, reports
 from koszulforge.betti import KoszulConfig
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import build_parser, main
@@ -133,6 +133,38 @@ def test_qgb_command(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, "qgb", "cycle(5)",
                              "--cache-dir", str(tmp_path))
     assert out2 == out
+
+
+def test_toric_ideal_command(capsys):
+    code, out, _ = run_cli(capsys, "toric-ideal", "cycle(5)")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"generators", "map", "provenance"}
+    assert data["provenance"] == "elimination"
+    assert len(data["generators"]) == 12
+    code, out, _ = run_cli(capsys, "toric-ideal", "cycle(5)",
+                           "--format", "text")
+    assert code == 0 and out == "12 generators (elimination)\n"
+
+
+def test_cache_entry_of_other_sources_is_a_miss(capsys, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(cli, "source_digest", lambda: "other sources")
+    code, want, _ = run_cli(capsys, "qgb", "cycle(5)",
+                            "--cache-dir", str(tmp_path))
+    assert code == 0
+    [entry] = tmp_path.glob("*.json")
+    stale = json.loads(entry.read_text())
+    stale["value"]["exists"] = "stale"
+    entry.write_text(json.dumps(stale))
+    # the sources that wrote the entry read it back ...
+    _, out, _ = run_cli(capsys, "qgb", "cycle(5)", "--cache-dir", str(tmp_path))
+    assert json.loads(out)["exists"] == "stale"
+    # ... and the sources of this checkout do not
+    monkeypatch.undo()
+    _, out, _ = run_cli(capsys, "qgb", "cycle(5)", "--cache-dir", str(tmp_path))
+    assert out == want
+    assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 def test_koszul_command(capsys):
@@ -280,6 +312,27 @@ def test_paper_suite_subset(capsys):
     assert [c["id"] for c in data["suite"]] == [1, 10]
 
 
+def test_paper_suite_runs_a_repeated_case_once(capsys):
+    code, out, _ = run_cli(capsys, "paper-suite", "--cases", "1,1")
+    assert code == 0
+    data = json.loads(out)
+    assert [c["id"] for c in data["suite"]] == [1]
+    assert list(data["timings"]) == ["1"]
+
+
+def test_paper_suite_unknown_case_exits_1(capsys):
+    code, out, err = run_cli(capsys, "paper-suite", "--cases", "12")
+    assert code == 1 and not out
+    assert err == "error: unknown case ids: [12]\n"
+
+
+def test_paper_suite_schema_is_the_reports_schema(capsys):
+    assert cli.SCHEMA is reports.SCHEMA
+    code, out, _ = run_cli(capsys, "paper-suite", "--cases", "1")
+    assert code == 0
+    assert json.loads(out)["schema"] == reports.SCHEMA
+
+
 def test_paper_suite_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "paper-suite", "--cases", "1")
     code2, out2, _ = run_cli(capsys, "paper-suite", "--cases", "1")
@@ -309,6 +362,12 @@ def test_analyze_square(square_report):
     assert r["quadratic_gb"]["exists"] is True
     assert r["koszul"]["status"] == "KoszulViaQuadraticGB"
     assert r["headline"] == "Koszul quadratic Gorenstein"
+
+
+def test_analyze_g4_headline(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "paper:G4")
+    assert code == 0
+    assert json.loads(out)["headline"] == "Koszul quadratic non-Gorenstein"
 
 
 def test_analyze_capped_marking_search_still_reports():

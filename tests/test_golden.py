@@ -82,3 +82,12 @@ def test_qgb_cbar3_golden_live():
     from koszulforge.paper_suite import cbar3_qgb_decision
     got = cbar3_qgb_decision().to_json()
     assert dump(got) == (GOLDEN / "qgb_cbar3.json").read_text()
+
+
+def test_paper_suite_golden(capsys):
+    # the whole paper-suite payload, byte for byte; only the timings vary
+    from koszulforge.cli import main
+    assert main(["paper-suite"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("timings")
+    assert dump(payload) == (GOLDEN / "paper_suite.json").read_text()

@@ -18,7 +18,8 @@ from koszulforge.hilbert import (SocleData, apply_linear_forms,
                                  poly1_div_one_minus_t, poly1_mul,
                                  poly1_series_coeffs, quotient_by_linear_form,
                                  socle)
-from koszulforge.paper_suite import (cbar_ideal, expected_artinian_generators,
+from koszulforge.paper_suite import (_nonminimal_socle_witnesses, cbar_ideal,
+                                     expected_artinian_generators,
                                      paper_artinian_reduction,
                                      paper_linear_forms)
 from koszulforge.polyring import Polynomial, TermOrder, parse_polynomial
@@ -353,6 +354,25 @@ def test_socle_k4_reduction_witnesses():
     assert is_socle_element(art, w2)
     # a unit is never a socle element here
     assert not is_socle_element(art, Polynomial.constant(w, 1))
+
+
+def test_socle_witnesses_for_k_divisible_by_3():
+    # criterion 5 checks k = 4, 5; the third branch of the second witness
+    # formula, k = 0 mod 3, first applies at k = 6
+    art = paper_artinian_reduction(6)
+    w1, w2 = _nonminimal_socle_witnesses(6, art)
+    assert is_socle_element(art, w1)
+    assert is_socle_element(art, w2)
+
+
+def test_unreadable_stable_set_label_is_a_plain_variable():
+    # the candidate search reads vertex sets off the labels; a label that
+    # stable_set_label never writes names no set, and the search goes on
+    pres = toric_ideal(monomial_map(parse_graph("cycle(5)"))).presentation
+    labels = tuple("y_{1,,3}" if lab == "y_{1,3}" else lab
+                   for lab in pres.labels)
+    cert = gorenstein_certificate(IdealPresentation(labels, pres.generators))
+    assert cert.verdict == "Gorenstein"
 
 
 def test_gorenstein_certificates():

@@ -10,7 +10,8 @@ from koszulforge.graphs import complete, cycle, parse_graph
 from koszulforge.groebner import normal_form, reduced_gb
 from koszulforge.polyring import Polynomial, TermOrder
 from koszulforge.toric import (closed_form_generators, fiber_classes,
-                               monomial_map, stable_set_label, toric_ideal)
+                               monomial_map, stable_set_label,
+                               stable_set_subset, toric_ideal)
 
 
 def test_monomial_map_complete3():
@@ -29,6 +30,15 @@ def test_labels():
     assert stable_set_label(()) == "y_{}"
     assert stable_set_label((3,)) == "y_{3}"
     assert stable_set_label((1, 2)) == "y_{1,2}"
+
+
+def test_label_inverse():
+    for subset in ((), (3,), (1, 2), (10, 11)):
+        assert stable_set_subset(stable_set_label(subset)) == subset
+    # labels that stable_set_label never writes name no subset
+    for label in ("y_{1,,2}", "y_{1,}", "y_{,}", "y_{01}", "y_{ 1}",
+                  "y_{-1}", "y_{+1}", "y_{\u00b2}", "y_{1", "x_{1}", "t", ""):
+        assert stable_set_subset(label) is None, label
 
 
 def test_toric_ideal_complete_graph_is_zero():

@@ -120,8 +120,12 @@ def _emit(args, payload: dict | list, text: str | None = None) -> None:
         # sorted keys keep emitted JSON byte-stable across cache round-trips
         body = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror}") from None
         return
     try:
         print(body)

@@ -1,8 +1,11 @@
 """Finite simple graphs: construction, transforms, classification, enumeration.
 
-Vertices are 1..n.  Everything here is brute-force but exact, intended for
-the small graphs the stable-set pipeline consumes (n up to ~20 for stable
-set enumeration, ~12 for classification, 7 for isomorphism-free listing).
+Vertices are 1..n.  Everything here is exact, intended for the small graphs
+the stable-set pipeline consumes (n up to ~20 for stable set enumeration,
+~12 for classification, 7 for isomorphism-free listing).  Comparability is
+decided in polynomial time by Gallai's implication classes; the other
+classes by brute force over vertex bitmasks.  The isomorphism-free listing
+extends each class on n - 1 vertices by one vertex in every way.
 """
 
 from __future__ import annotations
@@ -259,25 +262,26 @@ def _graph_from_edge_text(text: str) -> Graph:
     return graph(top, edges)
 
 
+# the terms that take one integer argument: its closing ')' is checked
+# before the builder runs, so a cut-off term is malformed, not over a cap
+_INT_TERMS = (("cycle(", cycle), ("complete(", complete), ("path(", path),
+              ("paper:cbar(", odd_cycle_complement),
+              ("paper:family(", heptagon_matching_family))
+
+
 def _parse_dsl(text: str) -> tuple[Graph, str]:
     text = text.lstrip()
+    for head, builder in _INT_TERMS:
+        if text.startswith(head):
+            arg, rest = _parse_int(text[len(head):])
+            rest = _expect(rest, ")")
+            return builder(arg), rest
     if text.startswith("paper:"):
         rest = text[len("paper:"):]
         for name in PAPER_FIXTURES:
             if rest.startswith(name):
                 return paper_fixture(name), rest[len(name):]
-        for name, builder in (("cbar", odd_cycle_complement),
-                              ("family", heptagon_matching_family)):
-            if rest.startswith(name + "("):
-                arg, rest2 = _parse_int(rest[len(name) + 1:])
-                rest2 = _expect(rest2, ")")
-                return builder(arg), rest2
         raise InputError(f"unknown paper term: {text!r}")
-    for name, builder in (("cycle", cycle), ("complete", complete), ("path", path)):
-        if text.startswith(name + "("):
-            arg, rest = _parse_int(text[len(name) + 1:])
-            rest = _expect(rest, ")")
-            return builder(arg), rest
     if text.startswith("complement("):
         g, rest = _parse_dsl(text[len("complement("):])
         rest = _expect(rest, ")")
@@ -387,7 +391,7 @@ CLASSIFY_CAP = 12
 
 
 def classify(g: Graph) -> GraphClassFlags:
-    """Brute-force membership in the graph classes the pipeline cares about."""
+    """Membership in the graph classes the pipeline cares about."""
     if g.n > CLASSIFY_CAP:
         raise ResourceCapError(
             f"classify supports n <= {CLASSIFY_CAP} (got n={g.n})")
@@ -404,114 +408,91 @@ def classify(g: Graph) -> GraphClassFlags:
     )
 
 
-def is_bipartite(g: Graph) -> bool:
-    masks = g.adjacency_masks()
-    color = [0] * (g.n + 1)
-    for start in range(1, g.n + 1):
-        if color[start]:
-            continue
-        color[start] = 1
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in range(1, g.n + 1):
-                if (masks[u - 1] >> (v - 1)) & 1:
-                    if color[v] == color[u]:
-                        return False
-                    if not color[v]:
-                        color[v] = -color[u]
-                        queue.append(v)
+def _members(mask: int):
+    """The 0-based vertices of a vertex bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bipartite_within(masks: list[int], within: int) -> bool:
+    """The subgraph induced on the vertex bitmask `within` is bipartite.
+
+    Breadth-first from the lowest unvisited vertex, one layer at a time:
+    the graph is bipartite iff no edge joins two vertices of one layer."""
+    left = within
+    while left:
+        frontier = left & -left
+        while frontier:
+            left &= ~frontier
+            reach = 0
+            for v in _members(frontier):
+                reach |= masks[v]
+            if reach & frontier:
+                return False
+            frontier = reach & left
     return True
 
 
+def is_bipartite(g: Graph) -> bool:
+    return _bipartite_within(g.adjacency_masks(), (1 << g.n) - 1)
+
+
 def is_almost_bipartite(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    return any(is_bipartite(induced(g, [u for u in range(1, g.n + 1) if u != v]))
-               for v in range(1, g.n + 1))
+    """Some vertex leaves a bipartite graph behind when it is removed."""
+    masks, full = g.adjacency_masks(), (1 << g.n) - 1
+    return any(_bipartite_within(masks, full & ~(1 << v)) for v in range(g.n))
 
 
 def has_transitive_orientation(g: Graph) -> bool:
-    """Search for a transitive orientation with forcing propagation."""
-    edges = sorted(g.edges)
-    if not edges:
-        return True
+    """Gallai's criterion: g has a transitive orientation iff no implication
+    class of its arcs holds an arc together with its reverse (Golumbic,
+    *Algorithmic Graph Theory and Perfect Graphs*, ch. 5).
 
-    def propagate(orient: dict[Edge, int], queue: list[tuple[int, int]]) -> bool:
-        # orient[(i,j)] = +1 for i->j, -1 for j->i
-        arcs = {(i, j) if d > 0 else (j, i) for (i, j), d in orient.items()}
-        while queue:
-            a, b = queue.pop()
-            for c in range(1, g.n + 1):
-                if c in (a, b):
-                    continue
-                # a->b, b->c forces a->c
-                if (b, c) in arcs:
-                    if not g.has_edge(a, c):
-                        return False
-                    if not _force(orient, arcs, queue, a, c):
-                        return False
-                # c->a, a->b forces c->b
-                if (c, a) in arcs:
-                    if not g.has_edge(c, b):
-                        return False
-                    if not _force(orient, arcs, queue, c, b):
-                        return False
-        return True
+    Arc (a, b) forces (a, c) when b and c are non-adjacent neighbours of a,
+    and (b, a) forces (c, a) likewise.  The classes are kept in a union-find
+    over the arcs, numbered a * n + b (0-based)."""
+    n = g.n
+    masks = g.adjacency_masks()
+    parent = list(range(n * n))
 
-    def _force(orient, arcs, queue, u, v) -> bool:
-        key = (min(u, v), max(u, v))
-        want = 1 if u < v else -1
-        have = orient.get(key)
-        if have is None:
-            orient[key] = want
-            arcs.add((u, v))
-            queue.append((u, v))
-            return True
-        return have == want
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def search(orient: dict[Edge, int]) -> bool:
-        free = next((e for e in edges if e not in orient), None)
-        if free is None:
-            return True
-        for direction in (1, -1):
-            trial = dict(orient)
-            arc = free if direction > 0 else (free[1], free[0])
-            trial[free] = direction
-            if propagate(trial, [arc]) and search(trial):
-                return True
+    for a in range(n):
+        for b, c in itertools.combinations(_members(masks[a]), 2):
+            if not (masks[b] >> c) & 1:
+                parent[find(a * n + b)] = find(a * n + c)
+                parent[find(b * n + a)] = find(c * n + a)
+    return all(find((i - 1) * n + j - 1) != find((j - 1) * n + i - 1)
+               for i, j in g.edges)
+
+
+def _induces_cycle(masks: list[int], within: int) -> bool:
+    """The vertex bitmask `within` induces a cycle: each member has exactly
+    two neighbours inside it, and it is connected."""
+    if any(bin(masks[v] & within).count("1") != 2 for v in _members(within)):
         return False
-
-    return search({})
-
-
-def _induced_is_chordless_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    h = induced(g, vs)
-    k = len(vs)
-    if len(h.edges) != k:
-        return False
-    if any(d != 2 for d in h.degree_sequence()):
-        return False
-    # degree-2 with k edges: connected iff a single cycle
-    masks = h.adjacency_masks()
-    seen = {1}
-    queue = [1]
-    while queue:
-        u = queue.pop()
-        for v in range(1, k + 1):
-            if (masks[u - 1] >> (v - 1)) & 1 and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == k
+    reached = within & -within
+    while True:
+        grown = reached
+        for v in _members(reached):
+            grown |= masks[v] & within
+        if grown == reached:
+            return reached == within
+        reached = grown
 
 
 def has_odd_hole(g: Graph) -> bool:
     """An induced odd cycle of length >= 5."""
-    for size in range(5, g.n + 1, 2):
-        for vs in itertools.combinations(range(1, g.n + 1), size):
-            if _induced_is_chordless_cycle(g, vs):
-                return True
-    return False
+    masks = g.adjacency_masks()
+    return any(_induces_cycle(masks, sum(1 << v for v in vs))
+               for size in range(5, g.n + 1, 2)
+               for vs in itertools.combinations(range(g.n), size))
 
 
 def is_perfect(g: Graph) -> bool:
@@ -566,27 +547,26 @@ def _graph_from_bits(n: int, bits: int) -> Graph:
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
-    """One canonical representative per isomorphism class, deterministic order."""
+    """One canonical representative per isomorphism class, deterministic order.
+
+    A graph on k vertices is a graph on k - 1 vertices plus a vertex joined
+    to some subset of them, so each class on k vertices arises from a class
+    representative on k - 1 vertices and one of its 2^(k-1) neighbourhoods.
+    A representative's canonical bits are its own: the order is by edge
+    count, then by those bits."""
     if not 1 <= n <= 7:
         raise InputError("enumerate_graphs supports 1 <= n <= 7")
-    pairs = list(itertools.combinations(range(n), 2))
-    total = len(pairs)
-    seen: set[int] = set()
-    for subset in range(1 << total):
-        masks = [0] * n
-        k = subset
-        idx = 0
-        while k:
-            if k & 1:
-                a, b = pairs[idx]
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-            k >>= 1
-            idx += 1
-        seen.add(_canonical_bits(n, masks))
-    out = [_graph_from_bits(n, bits) for bits in sorted(seen)]
-    out.sort(key=lambda g: (len(g.edges), _canonical_bits(g.n, g.adjacency_masks())))
-    return out
+    reps = {0}
+    for k in range(1, n):
+        grown: set[int] = set()
+        for bits in reps:
+            base = _graph_from_bits(k, bits).adjacency_masks()
+            for nbhd in range(1 << k):
+                masks = [m | (((nbhd >> v) & 1) << k) for v, m in enumerate(base)]
+                grown.add(_canonical_bits(k + 1, masks + [nbhd]))
+        reps = grown
+    return [_graph_from_bits(n, bits)
+            for bits in sorted(reps, key=lambda b: (bin(b).count("1"), b))]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

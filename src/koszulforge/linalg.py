@@ -16,19 +16,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
-# (Sorenson and Webster, 2015)
+# (Sorenson and Webster, 2015); a characteristic at or above it is refused
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
 def check_characteristic(p: int) -> int:
-    """p, if it is 0 or a prime; InputError otherwise."""
+    """p, if it is 0 or a prime below _MR_BOUND; InputError otherwise."""
+    if p >= _MR_BOUND:
+        raise InputError(f"characteristic must be below {_MR_BOUND}, got {p}")
     if p != 0 and not _is_prime(p):
         raise InputError(f"characteristic must be 0 or a prime, got {p}")
     return p
@@ -37,8 +39,6 @@ def check_characteristic(p: int) -> int:
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p >= _MR_BOUND:
-        return all(p % q for q in range(2, isqrt(p) + 1))
     for q in _MR_BASES:
         if p % q == 0:
             return p == q

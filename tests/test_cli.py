@@ -236,6 +236,26 @@ def test_bad_characteristic_is_rejected(capsys, command, char):
     assert "characteristic" in err and not out
 
 
+@pytest.mark.parametrize("command", ["koszul", "analyze"])
+def test_characteristic_past_the_primality_bound_is_refused_at_once(capsys,
+                                                                    command):
+    # a prime test past the Miller-Rabin bound would take ~10^12 divisions
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "cycle(5)",
+                             "--char", "3317044064679887385962123")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and not out
+    assert err.startswith("error: characteristic must be below "
+                          "3317044064679887385961981")
+
+
+def test_prime_characteristic_is_honoured(capsys):
+    # paper:G3's ideal is not quadratic, so its Betti table is computed
+    code, out, _ = run_cli(capsys, "koszul", "paper:G3", "--char", "32003")
+    assert code == 0
+    assert json.loads(out)["betti"]["characteristic"] == 32003
+
+
 @pytest.mark.parametrize("argv", [
     ("koszul", "cycle(4)", "--imax", "-5", "--jmax", "-3"),
     ("koszul", "complement(cycle(7))", "--imax", "-1"),
@@ -302,6 +322,15 @@ def test_out_file(capsys, tmp_path):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["count"] == 7
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_file_is_an_input_error(capsys, tmp_path, target):
+    code, out, err = run_cli(capsys, "stable-sets", "cycle(5)",
+                             "--out", str(tmp_path / target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write --out ")
+    assert "Traceback" not in err
 
 
 def test_paper_suite_subset(capsys):

@@ -12,8 +12,9 @@ from koszulforge.cli import main
 from koszulforge.graphs import (EDGE_CAP, STABLE_SET_CAP, Graph,
                                 are_isomorphic, classify, complement,
                                 complete, cycle, enumerate_graphs, graph,
-                                graph_from_json, induced, is_bipartite,
-                                parse_graph, path, stable_sets, union)
+                                graph_from_json, has_transitive_orientation,
+                                induced, is_bipartite, parse_graph, path,
+                                stable_sets, union)
 
 
 def brute_force_stable_sets(g):
@@ -121,6 +122,14 @@ def test_parse_graph_caps_vertices_and_edges(capsys, spec, message):
         parse_graph(spec)
     assert main(["stable-sets", spec]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_cut_off_term_is_malformed_before_its_cap(capsys):
+    # the closing ')' is read before the builder runs
+    assert main(["stable-sets", "complete(400"]) == 1
+    assert "expected ')'" in capsys.readouterr().err
+    assert main(["stable-sets", "complete(400)"]) == 2
+    assert f"79800 edges exceed the cap {EDGE_CAP}" in capsys.readouterr().err
 
 
 def test_graph_caps_admit_their_bounds():
@@ -277,12 +286,80 @@ def test_classify_complement_flag_consistency():
         assert classify(g).complement_bipartite == classify(complement(g)).bipartite
 
 
+def _two_colourings(g, pairs):
+    """Every 2-colouring of the vertices under which each pair is bichromatic."""
+    for colour in itertools.product((0, 1), repeat=g.n):
+        if all(colour[i - 1] != colour[j - 1] for i, j in pairs):
+            yield colour
+
+
+def _is_transitive(arcs):
+    return all((a, d) in arcs
+               for a, b in arcs for c, d in arcs if b == c and a != d)
+
+
+def test_classify_flags_match_their_definitions():
+    # independent oracles, on every graph with at most 6 vertices
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            vs = range(1, n + 1)
+            edges = sorted(g.edges)
+            nonedges = [e for e in itertools.combinations(vs, 2)
+                        if e not in g.edges]
+            comparability = any(
+                _is_transitive({(i, j) if (k >> x) & 1 else (j, i)
+                                   for x, (i, j) in enumerate(edges)})
+                for k in range(1 << len(edges)))
+
+            def is_clique(s):
+                return all(g.has_edge(i, j)
+                           for i, j in itertools.combinations(s, 2))
+
+            def is_stable(s):
+                return not any(g.has_edge(i, j)
+                               for i, j in itertools.combinations(s, 2))
+
+            subsets = [s for r in range(n + 1)
+                       for s in itertools.combinations(vs, r)]
+            # Lovasz: perfect iff omega(H) * alpha(H) >= |V(H)| for every
+            # induced subgraph H
+            perfect = all(
+                max(len(t) for r in range(len(s) + 1)
+                    for t in itertools.combinations(s, r) if is_clique(t))
+                * max(len(t) for r in range(len(s) + 1)
+                      for t in itertools.combinations(s, r) if is_stable(t))
+                >= len(s) for s in subsets)
+            maximal = [s for s in subsets if is_clique(s) and not any(
+                is_clique(s + (v,)) for v in vs if v not in s)]
+            expected = {
+                "bipartite": any(_two_colourings(g, edges)),
+                "almost_bipartite": any(
+                    any(_two_colourings(g, [e for e in edges if v not in e]))
+                    for v in vs),
+                "comparability": comparability,
+                "perfect": perfect,
+                "complement_bipartite": any(_two_colourings(g, nonedges)),
+                "max_cliques_equicardinal": len({len(s) for s in maximal}) == 1,
+            }
+            assert classify(g).to_json() == expected, g.to_json()
+
+
+def test_comparability_of_a_large_complete_block_is_decided_at_once():
+    # an orientation search grows by about 9x per vertex of the block
+    assert not has_transitive_orientation(
+        parse_graph("union(complete(7), cycle(5))"))
+    assert has_transitive_orientation(
+        parse_graph("union(complete(7), cycle(6))"))
+
+
 def test_classify_size_cap():
     with pytest.raises(ResourceCapError):
         classify(complete(13))
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+# OEIS A000088
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
+                                     (7, 1044)])
 def test_enumerate_counts(n, count):
     assert len(enumerate_graphs(n)) == count
 

@@ -285,7 +285,9 @@ def test_rational_elimination_never_yields_floats():
                                # pseudoprimes to some Miller-Rabin bases; the
                                # last is strong to every base up to 23
                                561, 2047, 3215031751, 3825123056546413051,
-                               # above the Miller-Rabin bound: trial division
+                               # at and above the Miller-Rabin bound: refused
+                               3317044064679887385961981,
+                               3317044064679887385962123,
                                2 * 3317044064679887385961981])
 def test_bad_characteristic_is_rejected(p):
     with pytest.raises(InputError):

@@ -13,8 +13,9 @@ does not (16384 markings, none survives).  The full heptagon run takes a
 few seconds; this demo shows the pentagon and the forced inequality chain.
 """
 
+from koszulforge.exactlp import feasible_strict
 from koszulforge.graphs import cycle, parse_graph
-from koszulforge.qgb import decide_quadratic_gb, weight_feasible
+from koszulforge.qgb import decide_quadratic_gb
 from koszulforge.toric import monomial_map, toric_ideal
 
 pentagon = toric_ideal(monomial_map(cycle(5)))
@@ -27,7 +28,8 @@ print(f"reduced basis: {len(decision.quadratic_gb.elements)} elements, "
       f"max degree {decision.quadratic_gb.max_degree}")
 
 # the heptagon obstruction in miniature: the forced chain of comparisons
-# sums to zero, so no weight vector can satisfy all of them strictly
+# telescopes around the cycle to zero, so no weight vector can satisfy all
+# of them strictly, and the exact LP finds no witness
 mp = monomial_map(parse_graph("complement(cycle(7))"))
 idx = {lab: i for i, lab in enumerate(mp.source_labels)}
 
@@ -50,7 +52,7 @@ chain = [diff(("y_{3}", "y_{1,2}"), ("y_{1}", "y_{2,3}")),
          diff(("y_{4}", "y_{2,3}"), ("y_{2}", "y_{3,4}")),
          diff(("y_{6}", "y_{4,5}"), ("y_{4}", "y_{5,6}")),
          diff(("y_{1}", "y_{6,7}"), ("y_{6}", "y_{1,7}"))]
-res = weight_feasible(chain)
-print(f"\nforced heptagon chain feasible: {res.feasible}")
-print(f"minimal infeasible core: all {len(res.infeasible_subset)} "
-      "inequalities (they telescope around the cycle)")
+print(f"\nforced heptagon chain feasible: {feasible_strict(chain) is not None}")
+zero_sum = not any(map(sum, zip(*chain)))
+print(f"its {len(chain)} differences sum to zero: {zero_sum}, so the "
+      "multipliers (1, ..., 1) are a Gordan certificate")

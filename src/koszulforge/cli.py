@@ -103,7 +103,7 @@ def _split_labels(text: str) -> list[str]:
 
 def _resolve_order(args, labels) -> TermOrder:
     ranking = None
-    if args.var_order:
+    if args.var_order is not None:
         wanted = _split_labels(args.var_order)
         if sorted(wanted) != sorted(labels):
             raise InputError("--var-order must list every variable label once")
@@ -142,13 +142,19 @@ def _cache(args) -> ResultCache:
     return ResultCache(None if args.no_cache else args.cache_dir)
 
 
-def _cached_or(args, payload_key: dict, compute):
+def _cached_or(args, request: dict, compute):
+    """The payload of a request, read from the cache or computed and
+    stored.  The request names the graph, not its toric ideal, so that a
+    hit skips the elimination: ``compute`` builds the ideal on a miss only.
+    """
     cache = _cache(args)
     if not cache.enabled:
         return compute()
-    # the digest of the sources is part of the key, so results do not
-    # outlive the code that computed them
-    key = cache_key({**payload_key, "source": source_digest()})
+    # the spair cap is in the key, so that a capped request still fails on a
+    # miss; the digest of the sources is too, so that results do not outlive
+    # the code that computed them
+    key = cache_key({**request, "spair_cap": args.spair_cap,
+                     "source": source_digest()})
     value = cache.get_value(key)
     if value is None:
         value = compute()
@@ -218,14 +224,16 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "groebner":
-        ideal = _toric_ideal(args)
-        order = _resolve_order(args, ideal.presentation.labels)
+        g = parse_graph(args.graph)
+        mp = monomial_map(g)
+        # a bad --var-order is refused before the cache is read
+        order = _resolve_order(args, mp.source_labels)
         payload = _cached_or(
-            args,
-            {"op": "groebner", "ideal": ideal.presentation.to_json(),
-             "order": order.descriptor()},
-            lambda: reduced_gb(ideal.presentation, order,
-                               spair_cap=args.spair_cap).to_json())
+            args, {"op": "groebner", "graph": g.to_json(),
+                   "order": order.descriptor()},
+            lambda: reduced_gb(
+                toric_ideal(mp, spair_cap=args.spair_cap).presentation,
+                order, spair_cap=args.spair_cap).to_json())
         _emit(args, payload,
               text=f"{len(payload['elements'])} basis elements, "
                    f"max degree {payload['flags']['max_degree']}")
@@ -244,13 +252,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "qgb":
-        ideal = _toric_ideal(args)
+        g = parse_graph(args.graph)
         decision = _cached_or(
-            args,
-            {"op": "qgb", "ideal": ideal.presentation.to_json(),
-             "marking_cap": args.marking_cap},
-            lambda: decide_quadratic_gb(ideal, marking_cap=args.marking_cap,
-                                        spair_cap=args.spair_cap).to_json())
+            args, {"op": "qgb", "graph": g.to_json(),
+                   "marking_cap": args.marking_cap},
+            lambda: decide_quadratic_gb(
+                toric_ideal(monomial_map(g), spair_cap=args.spair_cap),
+                marking_cap=args.marking_cap,
+                spair_cap=args.spair_cap).to_json())
         _emit(args, decision,
               text=f"exists={decision['exists']} markings={decision['markings']}")
         return 0
@@ -270,7 +279,7 @@ def _dispatch(args) -> int:
     if cmd == "paper-suite":
         from .paper_suite import run_cases
         ids = None
-        if args.cases:
+        if args.cases is not None:
             try:
                 ids = [int(x) for x in args.cases.split(",")]
             except ValueError:

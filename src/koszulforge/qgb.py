@@ -26,7 +26,6 @@ visit them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -71,47 +70,6 @@ def _class_differences(cls: tuple[Monomial, ...],
     s = cls[choice]
     return [tuple(a - b for a, b in zip(u, s))
             for k, u in enumerate(cls) if k != choice]
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: tuple[int, ...] | None = None
-    infeasible_subset: tuple[int, ...] | None = None
-
-
-def weight_feasible(diffs: list[tuple[int, ...]],
-                    find_infeasible_subset: bool = True) -> FeasibilityResult:
-    """Decide whether some rational w has w . d > 0 for every d.
-
-    A term order realizes a finite set of strict monomial comparisons iff
-    such a weight vector exists, so this is exact for markings.  Witnesses
-    are re-verified; on infeasibility an irreducible infeasible subset (one
-    that turns feasible when any single member is dropped) is extracted by
-    greedy drop-one (diagnostics mirroring the inequality-chain arguments).
-    """
-    diffs = [tuple(d) for d in diffs]
-    if not diffs:
-        return FeasibilityResult(True, witness=None)
-    widths = {len(d) for d in diffs}
-    if len(widths) != 1:
-        raise InputError("difference vectors must share one width")
-    w = feasible_strict(diffs)
-    if w is not None:
-        if not all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs):
-            raise AssertionError("LP witness violates a strict inequality")
-        return FeasibilityResult(True, witness=w)
-    if not find_infeasible_subset:
-        return FeasibilityResult(False)
-    core = list(range(len(diffs)))
-    i = 0
-    while i < len(core):
-        trial = [diffs[j] for k, j in enumerate(core) if k != i]
-        if not trial or feasible_strict(trial) is not None:
-            i += 1
-        else:
-            core.pop(i)
-    return FeasibilityResult(False, infeasible_subset=tuple(core))
 
 
 @dataclass(frozen=True)
@@ -290,13 +248,3 @@ def series_test_for_marking(ideal: ToricIdeal, marking: Marking,
     monomial ideal match the toric ring's series?"""
     target = hilbert_series(ideal.presentation, spair_cap=spair_cap).numerator
     return monomial_numerator(marking.nonminimal_members()) == target
-
-
-def sample_feasible_markings(decision: QGBDecision, count: int,
-                             seed: int = 0) -> list[tuple[Marking, tuple[int, ...]]]:
-    """Deterministic sample of feasible markings with witnesses."""
-    pool = list(decision.feasible_samples)
-    if len(pool) <= count:
-        return pool
-    rng = random.Random(seed)
-    return rng.sample(pool, count)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from koszulforge import betti, cli, hilbert, reports
+from koszulforge import betti, cli, hilbert, paper_suite, reports
 from koszulforge.betti import KoszulConfig
 from koszulforge.cache import ResultCache, cache_key
 from koszulforge.cli import build_parser, main
@@ -135,6 +135,25 @@ def test_qgb_command(capsys, tmp_path):
     assert out2 == out
 
 
+@pytest.mark.parametrize("argv", [("groebner", "paper:G2"),
+                                  ("qgb", "cycle(5)")], ids=lambda a: a[0])
+def test_cache_hit_skips_the_elimination(capsys, monkeypatch, tmp_path, argv):
+    # the key is the request, so a hit builds no toric ideal
+    _, want, _ = run_cli(capsys, *argv, "--no-cache")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return toric_ideal(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "toric_ideal", counted)
+    _, miss, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert len(calls) == 1
+    code, hit, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 1
+    assert hit == miss == want
+
+
 def test_toric_ideal_command(capsys):
     code, out, _ = run_cli(capsys, "toric-ideal", "cycle(5)")
     assert code == 0
@@ -182,6 +201,9 @@ def test_input_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("stable-sets", '{"n": 2, "edges": [[1]]}'),
     ("paper-suite", "--cases", "x"),
+    # an empty list selects nothing; it is not the default selection
+    ("paper-suite", "--cases", ""),
+    ("groebner", "cycle(4)", "--var-order", "", "--no-cache"),
 ])
 def test_malformed_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -353,6 +375,13 @@ def test_paper_suite_unknown_case_exits_1(capsys):
     code, out, err = run_cli(capsys, "paper-suite", "--cases", "12")
     assert code == 1 and not out
     assert err == "error: unknown case ids: [12]\n"
+
+
+def test_run_cases_of_an_empty_list_runs_none(monkeypatch):
+    monkeypatch.setattr(paper_suite, "ALL_CASES",
+                        {1: lambda: "one", 2: lambda: "two"})
+    assert paper_suite.run_cases([]) == []
+    assert paper_suite.run_cases(None) == ["one", "two"]
 
 
 def test_paper_suite_schema_is_the_reports_schema(capsys):

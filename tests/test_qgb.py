@@ -21,8 +21,7 @@ from koszulforge.graphs import complete, cycle, parse_graph
 from koszulforge.hilbert import (hilbert_series, monomial_numerator,
                                  poly1_series_coeffs)
 from koszulforge.qgb import (Marking, cross_check_marking, decide_quadratic_gb,
-                             sample_feasible_markings,
-                             series_test_for_marking, weight_feasible)
+                             series_test_for_marking)
 from koszulforge.toric import (closed_form_generators, fiber_classes,
                                monomial_map, toric_ideal)
 
@@ -32,23 +31,24 @@ from koszulforge.toric import (closed_form_generators, fiber_classes,
 # ---------------------------------------------------------------------------
 
 def test_single_vector_feasible():
-    res = weight_feasible([(1, -1, 0)])
-    assert res.feasible
-    assert sum(a * b for a, b in zip(res.witness, (1, -1, 0))) > 0
+    w = feasible_strict([(1, -1, 0)])
+    assert w is not None
+    assert sum(a * b for a, b in zip(w, (1, -1, 0))) > 0
 
 
 def test_antisymmetric_pair_infeasible():
-    res = weight_feasible([(1, -1, 0), (-1, 1, 0)])
-    assert not res.feasible
-    assert set(res.infeasible_subset) == {0, 1}
+    assert feasible_strict([(1, -1, 0), (-1, 1, 0)]) is None
 
 
-def test_empty_system_feasible():
-    assert weight_feasible([]).feasible
+def test_empty_system_is_refused():
+    # the width of an empty system is unknown to the LP; the marking walk
+    # starts from the all-ones witness instead
+    with pytest.raises(ValueError):
+        feasible_strict([])
 
 
 def test_zero_vector_infeasible():
-    assert not weight_feasible([(0, 0)]).feasible
+    assert feasible_strict([(0, 0)]) is None
 
 
 def test_witnesses_reverify_on_random_systems():
@@ -59,10 +59,9 @@ def test_witnesses_reverify_on_random_systems():
         diffs = [d for d in diffs if any(d)]
         if not diffs:
             continue
-        res = weight_feasible(diffs, find_infeasible_subset=False)
-        if res.feasible:
-            assert all(sum(a * b for a, b in zip(res.witness, d)) > 0
-                       for d in diffs)
+        w = feasible_strict(diffs)
+        if w is not None:
+            assert all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs)
 
 
 def test_feasibility_matches_brute_force_small():
@@ -78,7 +77,7 @@ def test_feasibility_matches_brute_force_small():
             continue
         brute = any(all(sum(a * b for a, b in zip(w, d)) > 0 for d in diffs)
                     for w in box)
-        got = weight_feasible(diffs, find_infeasible_subset=False).feasible
+        got = feasible_strict(diffs) is not None
         # the box search can miss feasible witnesses outside the box but
         # never invents one
         if brute:
@@ -110,34 +109,6 @@ def test_infeasible_results_hold_against_brute_force():
     assert infeasible > 20
 
 
-def test_infeasible_subset_is_infeasible():
-    diffs = [(1, 0), (0, 1), (-1, -1), (1, 1)]
-    res = weight_feasible(diffs)
-    assert not res.feasible
-    core = [diffs[i] for i in res.infeasible_subset]
-    assert feasible_strict(core) is None
-
-
-# marking-shaped systems: nonzero vectors whose coordinates sum to zero
-marking_systems = st.lists(
-    st.lists(st.integers(min_value=-1, max_value=1), min_size=3, max_size=3)
-    .map(lambda d: tuple(d) + (-sum(d),)).filter(any),
-    min_size=1, max_size=7)
-
-
-@given(marking_systems)
-@settings(max_examples=200, deadline=None)
-def test_infeasible_subset_is_irreducible(diffs):
-    res = weight_feasible(diffs)
-    if res.feasible:
-        return
-    core = [diffs[i] for i in res.infeasible_subset]
-    assert feasible_strict(core) is None
-    for k in range(len(core)):
-        rest = core[:k] + core[k + 1:]
-        assert not rest or feasible_strict(rest) is not None
-
-
 def test_paper_inequality_chain_is_infeasible():
     # the forced marking for the heptagon ring: both chains of inequalities,
     # ending in a cyclic contradiction
@@ -163,11 +134,12 @@ def test_paper_inequality_chain_is_infeasible():
         diff(("y_{6}", "y_{4,5}"), ("y_{4}", "y_{5,6}")),
         diff(("y_{1}", "y_{6,7}"), ("y_{6}", "y_{1,7}")),
     ]
-    res = weight_feasible(chain)
-    assert not res.feasible
-    # the whole chain is needed: it sums to zero, so dropping any one
-    # inequality leaves a feasible system
-    assert len(res.infeasible_subset) == 7
+    assert feasible_strict(chain) is None
+    # Gordan's certificate with every multiplier 1: the chain sums to zero
+    assert not any(map(sum, zip(*chain)))
+    # and the whole chain is needed: each six-inequality subset is feasible
+    for k in range(len(chain)):
+        assert feasible_strict(chain[:k] + chain[k + 1:]) is not None
 
 
 def reference_feasible_strict(diffs):
@@ -273,12 +245,9 @@ def test_nonnegative_shift_preserves_balanced_products():
         sum(a * b for a, b in zip(shifted, d))
 
 
-# forge the witness where each check reads it: qgb's own LP result, or the
-# lcm that exactlp scales the rational witness by (3w > 0 needs w = 1/3)
+# forge the witness where the check reads it: the lcm that exactlp scales
+# the rational witness by (3w > 0 needs w = 1/3)
 FORGED_WITNESSES = {
-    "qgb": "from koszulforge import qgb\n"
-           "qgb.feasible_strict = lambda diffs: (0,) * len(diffs[0])\n"
-           "check = lambda: qgb.weight_feasible([(1, -1, 0)])",
     "exactlp": "from koszulforge import exactlp\n"
                "exactlp.lcm = lambda *denominators: 1\n"
                "check = lambda: exactlp.feasible_strict([(3, 0)])",
@@ -324,8 +293,8 @@ def test_forged_multipliers_raise_under_optimize():
 
 
 def test_width_mismatch():
-    with pytest.raises(InputError):
-        weight_feasible([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError):
+        feasible_strict([(1, 0), (1, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +455,8 @@ def test_g4_decision_computes_one_leaf_numerator(monkeypatch):
 def test_cross_check_agrees_on_pentagon():
     ideal = toric_ideal(monomial_map(cycle(5)))
     decision = decide_quadratic_gb(ideal)
-    samples = sample_feasible_markings(decision, 8, seed=3)
-    assert samples
-    for marking, w in samples:
+    assert len(decision.feasible_samples) == 8
+    for marking, w in decision.feasible_samples:
         assert cross_check_marking(ideal, marking, w) == \
             series_test_for_marking(ideal, marking)
 
